@@ -16,11 +16,12 @@
 //! * `tool_cost` — one quick drive per registry tool: probe packets
 //!   sent and simulator events consumed per estimate.
 //!
-//! Usage: `perf [--quick] [--out PATH] [--compare] [--allow-dirty]
-//! [--check PATH]`
+//! Usage: `perf --out PATH [--quick] [--compare] [--allow-dirty]`,
+//! `perf --check PATH` or `perf --diff OLD NEW [--accept B/M]...`
 //!
+//! * `--out`      output path (required when measuring, so a bare run
+//!   never overwrites a committed baseline);
 //! * `--quick`    CI-sized run: shorter micro-loop, no loss sweep;
-//! * `--out`      output path (default `BENCH_6.json`);
 //! * `--compare`  diff against the previous `BENCH_<n>.json` next to
 //!   the output file and flag >10 % regressions (direction-aware);
 //! * `--allow-dirty`  record from an uncommitted tree anyway; the
@@ -30,13 +31,13 @@
 //! * `--check`    validate an existing file instead of measuring:
 //!   schema parses, every value finite and positive, ≥ 8 records;
 //! * `--diff OLD NEW`  compare two existing `BENCH_*.json` files
-//! * `--accept B/M`    (with `--diff`, repeatable) report but do not
-//!   fail on regressions of metric `bench/metric` — the CI record of an
-//!   intended tradeoff (e.g. memory spent for throughput)
 //!   (direction-aware, same >10 % threshold as `--compare`) and exit
 //!   non-zero when any metric regressed — the CI gate between the two
-//!   committed baselines, which is deterministic because both were
-//!   recorded on the same machine from clean trees.
+//!   newest committed baselines, which is deterministic because both
+//!   were recorded on the same machine from clean trees;
+//! * `--accept B/M`  (with `--diff`, repeatable) report but do not
+//!   fail on regressions of metric `bench/metric` — the CI record of an
+//!   intended tradeoff (e.g. memory spent for throughput).
 //!
 //! Set `ABW_PROF=1` to also get the span-tree report on stderr.
 
@@ -91,7 +92,10 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_6.json"));
+        .unwrap_or_else(|| {
+            eprintln!("--out PATH is required when measuring");
+            std::process::exit(2);
+        });
 
     let mut session = Session::start("perf");
     session

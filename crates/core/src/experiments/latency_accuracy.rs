@@ -11,7 +11,6 @@ use abw_netsim::SimDuration;
 use abw_stats::running::Running;
 use abw_stats::sampling::relative_error;
 
-use crate::probe::Session;
 use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
 use crate::tools::direct::{DirectConfig, DirectProber};
 
@@ -103,7 +102,6 @@ pub fn run(config: &LatencyAccuracyConfig) -> LatencyAccuracyResult {
                     ..SingleHopConfig::default()
                 });
                 s.warm_up(SimDuration::from_millis(300));
-                let mut runner = s.runner();
                 let mut tool = DirectProber::new(DirectConfig {
                     tight_capacity_bps: 50e6,
                     input_rate_bps: 40e6,
@@ -112,7 +110,7 @@ pub fn run(config: &LatencyAccuracyConfig) -> LatencyAccuracyResult {
                     streams,
                 })
                 .estimator();
-                let verdict = Session::over(&mut runner).drive(&mut s.sim, &mut tool);
+                let verdict = s.session().drive(&mut s.sim, &mut tool);
                 errors.push(relative_error(verdict.avail_bps(), truth).abs());
                 estimates.push(verdict.avail_bps());
                 latency.push(verdict.elapsed_secs());

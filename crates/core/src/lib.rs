@@ -33,8 +33,9 @@
 //!     cross: CrossKind::Poisson,
 //!     ..SingleHopConfig::default()
 //! });
-//! let report = Pathload::new(PathloadConfig::quick()).run(&mut scenario);
-//! let (lo, hi) = report.range_bps;
+//! let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+//! let verdict = scenario.session().drive(&mut scenario.sim, &mut tool);
+//! let (lo, hi) = verdict.range_bps().expect("Pathload reports a range");
 //! assert!(lo < hi);
 //! ```
 

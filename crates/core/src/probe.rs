@@ -251,9 +251,10 @@ impl StreamResult {
 /// Orchestrates probing streams over a simulator: arms the sender, runs
 /// the event loop until the stream drains, and collects the result.
 ///
-/// Iterative tools (TOPP, Pathload, pathChirp, IGI) call
-/// [`ProbeRunner::run_stream`] in a loop, choosing each next rate from
-/// the previous result — exactly the structure of Equation 10.
+/// A [`Session`] calls [`ProbeRunner::run_stream`] once per stream a
+/// tool requests; iterative tools (TOPP, Pathload, pathChirp, IGI)
+/// choose each next rate from the previous result — exactly the
+/// structure of Equation 10.
 pub struct ProbeRunner {
     /// The [`ProbeSender`] agent.
     pub sender: AgentId,
@@ -314,25 +315,6 @@ impl ProbeRunner {
     }
 }
 
-/// The probe runner a [`Session`] drives: its own, or one borrowed from
-/// the caller (so compatibility wrappers can drive a caller-owned
-/// runner without disturbing its stream-id sequence).
-enum RunnerSlot<'r> {
-    /// The session owns the runner.
-    Owned(ProbeRunner),
-    /// The session borrows the caller's runner.
-    Borrowed(&'r mut ProbeRunner),
-}
-
-impl RunnerSlot<'_> {
-    fn get(&mut self) -> &mut ProbeRunner {
-        match self {
-            RunnerSlot::Owned(r) => r,
-            RunnerSlot::Borrowed(r) => r,
-        }
-    }
-}
-
 /// Routing facts a session needs for probing primitives that bypass the
 /// [`ProbeRunner`] (BFind's load ramp installs its own agent on the
 /// probed path).
@@ -352,9 +334,14 @@ pub(crate) struct SessionRoute {
 /// multiple sessions can interleave in one simulation and a session can
 /// keep re-estimating against time-varying cross traffic (the
 /// `tracking` experiment). [`Session::drive`] loops `step` to
-/// completion, which is what the compatibility `run()` wrappers use.
-pub struct Session<'r> {
-    runner: RunnerSlot<'r>,
+/// completion; it is the one way to run a tool to its verdict.
+///
+/// The session owns its [`ProbeRunner`], so every round it drives
+/// continues one stream-id sequence: driving several tools in a row on
+/// one session (as the `tight_vs_narrow` experiment does) never reuses
+/// an id.
+pub struct Session {
+    runner: ProbeRunner,
     route: Option<SessionRoute>,
     load_agent: Option<AgentId>,
     /// When the current estimation round started (set lazily by the
@@ -363,24 +350,11 @@ pub struct Session<'r> {
     last: Option<Observation>,
 }
 
-impl<'r> Session<'r> {
-    /// A session borrowing the caller's runner — the compatibility path
-    /// for tools that historically took `(&mut Simulator, &mut
-    /// ProbeRunner)`.
-    pub fn over(runner: &'r mut ProbeRunner) -> Session<'r> {
-        Session {
-            runner: RunnerSlot::Borrowed(runner),
-            route: None,
-            load_agent: None,
-            round_start: None,
-            last: None,
-        }
-    }
-
+impl Session {
     /// A session owning its runner.
-    pub fn new(runner: ProbeRunner) -> Session<'static> {
+    pub fn new(runner: ProbeRunner) -> Session {
         Session {
-            runner: RunnerSlot::Owned(runner),
+            runner,
             route: None,
             load_agent: None,
             round_start: None,
@@ -395,9 +369,9 @@ impl<'r> Session<'r> {
         path: PathId,
         hops: usize,
         dst: AgentId,
-    ) -> Session<'static> {
+    ) -> Session {
         Session {
-            runner: RunnerSlot::Owned(runner),
+            runner,
             route: Some(SessionRoute { path, hops, dst }),
             load_agent: None,
             round_start: None,
@@ -407,7 +381,7 @@ impl<'r> Session<'r> {
 
     /// The session's probe runner (e.g. to adjust `stream_gap`).
     pub fn runner_mut(&mut self) -> &mut ProbeRunner {
-        self.runner.get()
+        &mut self.runner
     }
 
     /// Executes one estimator action: asks `tool` for its next move
@@ -477,7 +451,7 @@ impl<'r> Session<'r> {
     fn execute(&mut self, sim: &mut Simulator, spec: ProbeSpec) -> Observation {
         match spec {
             ProbeSpec::Stream { spec, pre_gap } => {
-                let runner = self.runner.get();
+                let runner = &mut self.runner;
                 match pre_gap {
                     Some(gap) => {
                         let saved = runner.stream_gap;
@@ -909,5 +883,66 @@ mod tests {
         let r = runner.run_stream(&mut sim, &spec);
         assert_eq!(r.received(), 15);
         assert_eq!(r.pair_gaps().len(), 14);
+    }
+
+    /// Forwards to `inner`, recording the stream id of every observation
+    /// the session feeds back.
+    struct IdTap<E> {
+        inner: E,
+        ids: Vec<u32>,
+    }
+
+    impl<E: Estimator> Estimator for IdTap<E> {
+        fn next(&mut self, last: Option<&Observation>) -> Action {
+            if let Some(r) = last.and_then(Observation::stream) {
+                self.ids.push(r.stream_id);
+            }
+            self.inner.next(last)
+        }
+
+        fn take_events(&mut self) -> Vec<crate::tools::ToolEvent> {
+            self.inner.take_events()
+        }
+    }
+
+    #[test]
+    fn one_session_continues_one_stream_id_sequence_across_tools() {
+        use crate::tools::capacity::{CapacityConfig, CapacityProber};
+        use crate::tools::direct::{DirectConfig, DirectProber};
+
+        // capacity, then direct probing on the same session, as the
+        // tight-vs-narrow experiment measures Ct and then probes with it
+        let (mut sim, runner) = idle_sim();
+        let mut session = Session::new(runner);
+        let mut capacity = IdTap {
+            inner: CapacityProber::new(CapacityConfig {
+                pairs: 5,
+                ..CapacityConfig::default()
+            })
+            .estimator(),
+            ids: Vec::new(),
+        };
+        let mut direct = IdTap {
+            inner: DirectProber::new(DirectConfig {
+                streams: 3,
+                stream_duration: SimDuration::from_millis(10),
+                ..DirectConfig::canonical()
+            })
+            .estimator(),
+            ids: Vec::new(),
+        };
+        session.drive(&mut sim, &mut capacity);
+        session.drive(&mut sim, &mut direct);
+        assert_eq!(capacity.ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(direct.ids, vec![5, 6, 7], "no reset between rounds");
+
+        // and a stream sent outside any round continues it too
+        let spec = StreamSpec::Periodic {
+            rate_bps: 20e6,
+            size: 1500,
+            count: 2,
+        };
+        let r = session.runner_mut().run_stream(&mut sim, &spec);
+        assert_eq!(r.stream_id, 8);
     }
 }

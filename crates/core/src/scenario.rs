@@ -281,7 +281,7 @@ impl Scenario {
     /// A routed [`Session`] over this scenario's endpoints: the driver
     /// for any [`crate::tools::Estimator`], including ones that need
     /// load-ramp probing (BFind).
-    pub fn session(&self) -> Session<'static> {
+    pub fn session(&self) -> Session {
         Session::with_route(
             self.runner(),
             self.probe_path,

@@ -222,7 +222,10 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(300));
-        let report = Bfind::new(BfindConfig::default()).run(&mut s);
+        let mut tool = Bfind::new(BfindConfig::default()).estimator();
+        let Verdict::Bfind(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         assert!(
             (report.avail_bps - 25e6).abs() <= 6e6,
             "avail {:.1} Mb/s",
@@ -246,7 +249,10 @@ mod tests {
         };
         let mut s = Scenario::from_hops(vec![mk(5e6), mk(30e6), mk(5e6)], 11);
         s.warm_up(SimDuration::from_millis(300));
-        let report = Bfind::new(BfindConfig::default()).run(&mut s);
+        let mut tool = Bfind::new(BfindConfig::default()).estimator();
+        let Verdict::Bfind(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         assert_eq!(report.tight_hop, Some(1), "wrong hop: {report:?}");
         assert!(
             (report.avail_bps - 20e6).abs() <= 6e6,
@@ -262,11 +268,14 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let report = Bfind::new(BfindConfig {
+        let mut tool = Bfind::new(BfindConfig {
             max_rate_bps: 40e6, // stay below capacity: never inflates
             ..BfindConfig::default()
         })
-        .run(&mut s);
+        .estimator();
+        let Verdict::Bfind(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         assert_eq!(report.tight_hop, None);
         assert_eq!(report.avail_bps, 40e6);
     }

@@ -163,12 +163,14 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig {
+        let mut tool = CapacityProber::new(CapacityConfig {
             pairs: 20,
             ..CapacityConfig::default()
         })
-        .run(&mut s.sim, &mut runner);
+        .estimator();
+        let Verdict::Capacity(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         assert!(
             (report.capacity_bps - 50e6).abs() / 50e6 < 0.05,
             "capacity {:.2} Mb/s",
@@ -181,8 +183,10 @@ mod tests {
     fn loaded_link_mode_still_finds_capacity() {
         let mut s = Scenario::single_hop(&SingleHopConfig::default());
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut runner);
+        let mut tool = CapacityProber::new(CapacityConfig::default()).estimator();
+        let Verdict::Capacity(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         // cross traffic expands some pairs, but the mode survives
         assert!(
             (report.capacity_bps - 50e6).abs() / 50e6 < 0.15,
@@ -197,8 +201,10 @@ mod tests {
         // 60 Mb/s (avail 95.5 Mb/s < 100 Mb/s, so tight ≠ narrow)
         let mut s = Scenario::tight_not_narrow(60e6, 5);
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut runner);
+        let mut tool = CapacityProber::new(CapacityConfig::default()).estimator();
+        let Verdict::Capacity(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         let cn = s.narrow_capacity_bps();
         assert!(
             (report.capacity_bps - cn).abs() / cn < 0.15,

@@ -225,8 +225,11 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        Delphi::new(DelphiConfig::new(50e6)).run(&mut s.sim, &mut runner)
+        let mut tool = Delphi::new(DelphiConfig::new(50e6)).estimator();
+        let Verdict::Delphi(r) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
+        r
     }
 
     #[test]

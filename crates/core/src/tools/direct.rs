@@ -142,12 +142,15 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        let prober = DirectProber::new(DirectConfig {
+        let mut tool = DirectProber::new(DirectConfig {
             streams,
             ..DirectConfig::canonical()
-        });
-        prober.run(&mut s.sim, &mut runner)
+        })
+        .estimator();
+        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
+        est
     }
 
     #[test]
@@ -179,13 +182,13 @@ mod tests {
     fn sample_count_matches_streams() {
         let mut s = Scenario::single_hop(&SingleHopConfig::default());
         s.warm_up(SimDuration::from_millis(200));
-        let mut runner = s.runner();
-        let prober = DirectProber::new(DirectConfig {
+        let mut tool = DirectProber::new(DirectConfig {
             streams: 7,
             stream_duration: SimDuration::from_millis(25),
             ..DirectConfig::canonical()
-        });
-        let samples = prober.collect_samples(&mut s.sim, &mut runner);
-        assert_eq!(samples.len(), 7);
+        })
+        .estimator();
+        s.session().drive(&mut s.sim, &mut tool);
+        assert_eq!(tool.into_samples().len(), 7);
     }
 }

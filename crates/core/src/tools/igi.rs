@@ -252,8 +252,11 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        Igi::new(IgiConfig::default()).run(&mut s.sim, &mut runner)
+        let mut tool = Igi::new(IgiConfig::default()).estimator();
+        let Verdict::Igi(r) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
+        r
     }
 
     #[test]
@@ -299,8 +302,10 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
-        let r = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut runner);
+        let mut tool = Igi::new(IgiConfig::default()).estimator();
+        let Verdict::Igi(r) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         assert_eq!(r.iterations, 1, "48 Mb/s < C = 50 Mb/s: no queueing");
         assert!(r.igi_bps > 45e6);
     }
@@ -314,8 +319,7 @@ mod tests {
         s.warm_up(SimDuration::from_millis(500));
         let igi = Igi::new(IgiConfig::default());
         let mut tool = igi.ptr_estimator();
-        let mut runner = s.runner();
-        let verdict = crate::probe::Session::over(&mut runner).drive(&mut s.sim, &mut tool);
+        let verdict = s.session().drive(&mut s.sim, &mut tool);
         match verdict {
             Verdict::Ptr(r) => assert!(r.ptr_bps > 0.0),
             other => panic!("expected a PTR verdict, got {other:?}"),

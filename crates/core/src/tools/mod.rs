@@ -37,11 +37,12 @@
 //! tool can keep re-estimating against time-varying cross traffic (the
 //! `tracking` experiment).
 //!
-//! Tools are instantiated by name through the [`registry`], and the
-//! blocking `run()` entry points below are thin `Session::drive`
-//! wrappers kept for compatibility — they produce bit-identical results
-//! to the pre-refactor implementations (pinned by
-//! `tests/golden_tools.rs`).
+//! Each tool has one way to run: build its estimator (by name through
+//! the [`registry`], or from its config with the tool's `estimator()`)
+//! and drive it with a session, e.g.
+//! `scenario.session().drive(&mut scenario.sim, &mut tool)`. The
+//! state machines produce bit-identical results to the pre-refactor
+//! blocking implementations (pinned by `tests/golden_tools.rs`).
 
 pub mod bfind;
 pub mod capacity;
@@ -55,24 +56,19 @@ pub mod schirp;
 pub mod spruce;
 pub mod topp;
 
-use abw_netsim::{SimDuration, Simulator};
+use abw_netsim::SimDuration;
 use abw_obs::Value;
 use abw_stats::running::Summary;
 
-use crate::probe::{ProbeRunner, Session, StreamResult};
-use crate::scenario::Scenario;
+use crate::probe::StreamResult;
 use crate::stream::StreamSpec;
 
-use bfind::{Bfind, BfindReport};
-use capacity::{CapacityProber, CapacityReport};
-use delphi::{Delphi, DelphiReport};
-use direct::DirectProber;
-use igi::{Igi, IgiReport};
-use pathchirp::Pathchirp;
-use pathload::{Pathload, PathloadReport};
-use schirp::Schirp;
-use spruce::Spruce;
-use topp::{Topp, ToppReport};
+use bfind::BfindReport;
+use capacity::CapacityReport;
+use delphi::DelphiReport;
+use igi::IgiReport;
+use pathload::PathloadReport;
+use topp::ToppReport;
 
 /// A point estimate of the avail-bw plus per-sample statistics.
 #[derive(Debug, Clone)]
@@ -146,7 +142,8 @@ pub struct LoadRampSpec {
 /// One probing action an [`Estimator`] can request from the session.
 #[derive(Debug, Clone)]
 pub enum ProbeSpec {
-    /// Send one probing stream through the session's [`ProbeRunner`].
+    /// Send one probing stream through the session's
+    /// [`ProbeRunner`](crate::probe::ProbeRunner).
     Stream {
         /// The stream to transmit.
         spec: StreamSpec,
@@ -156,7 +153,7 @@ pub enum ProbeSpec {
         pre_gap: Option<SimDuration>,
     },
     /// Hold a load-ramp epoch (requires a routed session, i.e. one built
-    /// by [`Scenario::session`]).
+    /// by [`Scenario::session`](crate::scenario::Scenario::session)).
     LoadRamp(LoadRampSpec),
 }
 
@@ -350,135 +347,6 @@ impl Verdict {
             | Verdict::Ptr(_)
             | Verdict::Bfind(_)
             | Verdict::Capacity(_) => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Compatibility wrappers: the pre-refactor blocking entry points, now
-// thin `Session::drive` shims. They live here (not in the tool files) so
-// the tool implementations themselves never see a `Simulator`.
-
-impl DirectProber {
-    /// Runs the configured number of streams and aggregates the samples.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> Estimate {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Point(e) => e,
-            _ => unreachable!("direct probing yields a point estimate"),
-        }
-    }
-
-    /// Collects the raw per-stream samples instead of aggregating —
-    /// used by experiments that study the sample distribution itself.
-    pub fn collect_samples(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> Vec<f64> {
-        let mut tool = self.estimator();
-        Session::over(runner).drive(sim, &mut tool);
-        tool.into_samples()
-    }
-}
-
-impl Delphi {
-    /// Runs the adaptive train sequence.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> DelphiReport {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Delphi(r) => r,
-            _ => unreachable!("Delphi yields a Delphi report"),
-        }
-    }
-}
-
-impl Spruce {
-    /// Sends the configured pairs and returns the averaged estimate.
-    ///
-    /// Negative per-pair samples (possible when a burst lands between the
-    /// pair) are clamped to zero, as in the published tool.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> Estimate {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Point(e) => e,
-            _ => unreachable!("Spruce yields a point estimate"),
-        }
-    }
-}
-
-impl Topp {
-    /// Runs the linear sweep and analyses the turning point.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> ToppReport {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Topp(r) => r,
-            _ => unreachable!("TOPP yields a TOPP report"),
-        }
-    }
-}
-
-impl Pathload {
-    /// Runs the full binary search and returns the variation range.
-    pub fn run(&self, scenario: &mut Scenario) -> PathloadReport {
-        let mut tool = self.estimator();
-        let mut session = scenario.session();
-        match session.drive(&mut scenario.sim, &mut tool) {
-            Verdict::Pathload(r) => r,
-            _ => unreachable!("Pathload yields a Pathload report"),
-        }
-    }
-}
-
-impl Pathchirp {
-    /// Sends the configured chirps and averages the per-chirp estimates.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> Estimate {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Point(e) => e,
-            _ => unreachable!("pathChirp yields a point estimate"),
-        }
-    }
-}
-
-impl Schirp {
-    /// Sends the configured chirps and averages the per-chirp estimates.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> Estimate {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Point(e) => e,
-            _ => unreachable!("S-chirp yields a point estimate"),
-        }
-    }
-}
-
-impl Igi {
-    /// Runs trains with growing gaps until the turning point.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> IgiReport {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Igi(r) => r,
-            _ => unreachable!("IGI yields an IGI report"),
-        }
-    }
-}
-
-impl Bfind {
-    /// Runs BFind against a scenario (it installs its own load/trace
-    /// agent; the scenario's probing endpoints are not used).
-    pub fn run(&self, scenario: &mut Scenario) -> BfindReport {
-        let mut tool = self.estimator();
-        let mut session = scenario.session();
-        match session.drive(&mut scenario.sim, &mut tool) {
-            Verdict::Bfind(r) => r,
-            _ => unreachable!("BFind yields a BFind report"),
-        }
-    }
-}
-
-impl CapacityProber {
-    /// Sends the pairs and returns the histogram-mode estimate.
-    pub fn run(&self, sim: &mut Simulator, runner: &mut ProbeRunner) -> CapacityReport {
-        let mut tool = self.estimator();
-        match Session::over(runner).drive(sim, &mut tool) {
-            Verdict::Capacity(r) => r,
-            _ => unreachable!("the capacity prober yields a capacity report"),
         }
     }
 }

@@ -200,12 +200,15 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        let pc = Pathchirp::new(PathchirpConfig {
+        let mut tool = Pathchirp::new(PathchirpConfig {
             chirps,
             ..PathchirpConfig::default()
-        });
-        pc.run(&mut s.sim, &mut runner)
+        })
+        .estimator();
+        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
+        est
     }
 
     #[test]
@@ -235,14 +238,15 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
         let cfg = PathchirpConfig {
             chirps: 3,
             ..PathchirpConfig::default()
         };
         let top_rate = cfg.start_rate_bps * cfg.gamma.powi(cfg.packets_per_chirp as i32 - 2);
-        let pc = Pathchirp::new(cfg);
-        let est = pc.run(&mut s.sim, &mut runner);
+        let mut tool = Pathchirp::new(cfg).estimator();
+        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         // on an idle 50 Mb/s link the chirp's top rates exceed the
         // capacity, so an excursion forms near the capacity — the
         // estimate is between 25 Mb/s and the top probed rate

@@ -186,8 +186,11 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        Schirp::new(SchirpConfig::default()).run(&mut s.sim, &mut runner)
+        let mut tool = Schirp::new(SchirpConfig::default()).estimator();
+        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
+        est
     }
 
     #[test]

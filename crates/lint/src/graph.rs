@@ -3,7 +3,7 @@
 //! Two consumers share the per-file import extraction here:
 //!
 //! * **L1 layering** — every import (a `use` statement or an inline
-//!   qualified path like `crate::probe::Session::over(...)`) is matched
+//!   qualified path like `crate::probe::Session::new(...)`) is matched
 //!   against the `[[layering.deny]]` edges in `lint.toml`; a hit is a
 //!   finding at the import's `file:line:col`, carrying the edge's
 //!   configured reason. Test code (tests/ files and `#[cfg(test)]`
@@ -177,7 +177,7 @@ pub fn crate_of(rel: &Path) -> Option<String> {
 /// Workspace and vendored crate identifiers that count as graph nodes
 /// when they appear as the first segment of an import path.
 fn is_tracked_dep(seg: &str) -> bool {
-    seg.starts_with("abw_") || matches!(seg, "abwe" | "rand" | "proptest" | "criterion")
+    seg.starts_with("abw_") || matches!(seg, "abwe" | "rand" | "proptest")
 }
 
 /// Accumulates crate-level edges from one file's imports into `edges`.

@@ -99,6 +99,9 @@ pub fn classify(rel: &Path) -> Option<FileContext> {
             }
             Some(classify_targets(crate_name, &parts[2..]))
         }
+        // the stand-alone benchmark package is a measuring harness like
+        // crates/bench, and is linted under the same context
+        Some("benchmark") => Some(classify_targets("bench", &parts[1..])),
         // root crate (the `abwe` facade): src/, examples/, tests/
         Some(_) => Some(classify_targets("", &parts)),
         None => None,
@@ -328,6 +331,21 @@ mod tests {
 
         let ctx = classify(Path::new("src/lib.rs")).unwrap();
         assert_eq!(ctx.class, FileClass::Lib);
+    }
+
+    #[test]
+    fn classify_benchmark_as_the_bench_crate() {
+        let ctx = classify(Path::new("benchmark/src/main.rs")).unwrap();
+        assert_eq!(ctx.crate_name, "bench");
+        assert_eq!(ctx.class, FileClass::Bin);
+
+        let ctx = classify(Path::new("benchmark/src/lib.rs")).unwrap();
+        assert_eq!(ctx.crate_name, "bench");
+        assert_eq!(ctx.class, FileClass::Lib);
+
+        let ctx = classify(Path::new("benchmark/tests/derivation.rs")).unwrap();
+        assert_eq!(ctx.crate_name, "bench");
+        assert_eq!(ctx.class, FileClass::Test);
     }
 
     #[test]

@@ -28,15 +28,16 @@ fn main() {
         ..SingleHopConfig::default()
     });
     scenario.warm_up(SimDuration::from_millis(500));
-    let report = Pathload::new(PathloadConfig::default()).run(&mut scenario);
-    let (lo, hi) = report.range_bps;
+    let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+    let report = scenario.session().drive(&mut scenario.sim, &mut tool);
+    let (lo, hi) = report.range_bps().expect("Pathload reports a range");
     println!(
         "Pathload on the 50/25 Mb/s Pareto path: range [{:.1}, {:.1}] Mb/s, \
          {} probe packets, {:.1} s of measurement\n",
         lo / 1e6,
         hi / 1e6,
-        report.probe_packets,
-        report.elapsed_secs,
+        report.probe_packets(),
+        report.elapsed_secs(),
     );
 
     println!(

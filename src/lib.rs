@@ -35,9 +35,11 @@
 //! });
 //! scenario.warm_up(SimDuration::from_millis(300));
 //!
+//! // every tool runs the same way: its estimator, driven by a session;
 //! // Pathload reports a variation range (R_L, R_H), not a point
-//! let report = Pathload::new(PathloadConfig::quick()).run(&mut scenario);
-//! let (lo, hi) = report.range_bps;
+//! let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+//! let verdict = scenario.session().drive(&mut scenario.sim, &mut tool);
+//! let (lo, hi) = verdict.range_bps().expect("Pathload reports a range");
 //! assert!(lo < hi);
 //! ```
 //!

@@ -45,16 +45,16 @@ fn probing_estimate_matches_ground_truth_not_just_configuration() {
         ..SingleHopConfig::default()
     });
     s.warm_up(SimDuration::from_millis(500));
-    let mut runner = s.runner();
-    let est = DirectProber::new(DirectConfig {
+    let mut tool = DirectProber::new(DirectConfig {
         streams: 60,
         ..DirectConfig::canonical()
     })
-    .run(&mut s.sim, &mut runner);
+    .estimator();
+    let est = s.session().drive(&mut s.sim, &mut tool).avail_bps();
     assert!(
-        relative_error(est.avail_bps, 25e6).abs() < 0.10,
+        relative_error(est, 25e6).abs() < 0.10,
         "estimate {:.2} Mb/s",
-        est.avail_bps / 1e6
+        est / 1e6
     );
     // ground truth over a probe-free window after the measurement (the
     // probing itself consumes ~40 Mb/s while a stream is in flight, so

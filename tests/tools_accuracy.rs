@@ -12,6 +12,7 @@ use abwe::core::tools::pathchirp::{Pathchirp, PathchirpConfig};
 use abwe::core::tools::pathload::{Pathload, PathloadConfig};
 use abwe::core::tools::spruce::{Spruce, SpruceConfig};
 use abwe::core::tools::topp::{Topp, ToppConfig};
+use abwe::core::tools::Verdict;
 use abwe::netsim::SimDuration;
 
 const TRUTH: f64 = 25e6;
@@ -34,51 +35,56 @@ fn all_tools_agree_on_poisson_cross_traffic() {
 
     {
         let mut s = scenario(CrossKind::Poisson, 1);
-        let mut r = s.runner();
-        let e = DirectProber::new(DirectConfig {
+        let mut tool = DirectProber::new(DirectConfig {
             streams: 40,
             ..DirectConfig::canonical()
         })
-        .run(&mut s.sim, &mut r);
-        results.push(("direct", e.avail_bps, 0.12));
+        .estimator();
+        let e = s.session().drive(&mut s.sim, &mut tool);
+        results.push(("direct", e.avail_bps(), 0.12));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 2);
-        let mut r = s.runner();
-        let e = Spruce::new(SpruceConfig::new(50e6)).run(&mut s.sim, &mut r);
+        let mut tool = Spruce::new(SpruceConfig::new(50e6)).estimator();
+        let e = s.session().drive(&mut s.sim, &mut tool);
         // pair quantisation with 1500 B cross packets biases Spruce up
-        results.push(("spruce", e.avail_bps, 0.45));
+        results.push(("spruce", e.avail_bps(), 0.45));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 3);
-        let mut r = s.runner();
-        r.stream_gap = SimDuration::from_millis(5);
-        let rep = Topp::new(ToppConfig::default()).run(&mut s.sim, &mut r);
-        results.push(("topp", rep.avail_bps, 0.35));
+        let mut session = s.session();
+        session.runner_mut().stream_gap = SimDuration::from_millis(5);
+        let mut tool = Topp::new(ToppConfig::default()).estimator();
+        let rep = session.drive(&mut s.sim, &mut tool);
+        results.push(("topp", rep.avail_bps(), 0.35));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 4);
-        let rep = Pathload::new(PathloadConfig::default()).run(&mut s);
-        let mid = (rep.range_bps.0 + rep.range_bps.1) / 2.0;
-        results.push(("pathload", mid, 0.25));
+        let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+        let rep = s.session().drive(&mut s.sim, &mut tool);
+        // a range verdict's headline estimate is the range midpoint
+        results.push(("pathload", rep.avail_bps(), 0.25));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 5);
-        let mut r = s.runner();
-        let e = Pathchirp::new(PathchirpConfig::default()).run(&mut s.sim, &mut r);
-        results.push(("pathchirp", e.avail_bps, 0.40));
+        let mut tool = Pathchirp::new(PathchirpConfig::default()).estimator();
+        let e = s.session().drive(&mut s.sim, &mut tool);
+        results.push(("pathchirp", e.avail_bps(), 0.40));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 6);
-        let mut r = s.runner();
-        let rep = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut r);
+        let mut tool = Igi::new(IgiConfig::default()).estimator();
+        let Verdict::Igi(rep) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!()
+        };
         results.push(("igi", rep.igi_bps, 0.35));
         results.push(("ptr", rep.ptr_bps, 0.35));
     }
     {
         let mut s = scenario(CrossKind::Poisson, 7);
-        let rep = Bfind::new(BfindConfig::default()).run(&mut s);
-        results.push(("bfind", rep.avail_bps, 0.35));
+        let mut tool = Bfind::new(BfindConfig::default()).estimator();
+        let rep = s.session().drive(&mut s.sim, &mut tool);
+        results.push(("bfind", rep.avail_bps(), 0.35));
     }
 
     for (tool, est, tol) in results {
@@ -99,8 +105,10 @@ fn iterative_tools_underestimate_on_bursty_traffic() {
     // direction on Pareto ON-OFF traffic for PTR (the clean rate-ratio
     // iterative tool)
     let mut s = scenario(CrossKind::ParetoOnOff, 21);
-    let mut r = s.runner();
-    let rep = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut r);
+    let mut tool = Igi::new(IgiConfig::default()).estimator();
+    let Verdict::Igi(rep) = s.session().drive(&mut s.sim, &mut tool) else {
+        unreachable!()
+    };
     assert!(
         rep.ptr_bps < TRUTH * 1.1,
         "PTR should not overestimate under bursty traffic: {:.2} Mb/s",
@@ -113,23 +121,27 @@ fn capacity_estimate_feeds_direct_probing() {
     // capacity tool → Ct estimate → direct probing, on a single-hop path
     // where tight = narrow so the pipeline is self-consistent
     let mut s = scenario(CrossKind::Poisson, 31);
-    let mut r = s.runner();
-    let cap = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut r);
+    let mut session = s.session();
+    let mut tool = CapacityProber::new(CapacityConfig::default()).estimator();
+    let Verdict::Capacity(cap) = session.drive(&mut s.sim, &mut tool) else {
+        unreachable!()
+    };
     assert!(
         (cap.capacity_bps - 50e6).abs() / 50e6 < 0.1,
         "capacity {:.2} Mb/s",
         cap.capacity_bps / 1e6
     );
-    let est = DirectProber::new(DirectConfig {
+    let mut tool = DirectProber::new(DirectConfig {
         tight_capacity_bps: cap.capacity_bps,
         streams: 30,
         ..DirectConfig::canonical()
     })
-    .run(&mut s.sim, &mut r);
+    .estimator();
+    let est = session.drive(&mut s.sim, &mut tool).avail_bps();
     assert!(
-        (est.avail_bps - TRUTH).abs() / TRUTH < 0.15,
+        (est - TRUTH).abs() / TRUTH < 0.15,
         "pipeline estimate {:.2} Mb/s",
-        est.avail_bps / 1e6
+        est / 1e6
     );
 }
 
@@ -137,13 +149,18 @@ fn capacity_estimate_feeds_direct_probing() {
 fn pathload_range_narrows_on_smooth_traffic() {
     // CBR: the avail-bw barely varies, so the range should be tight;
     // Pareto ON-OFF: the range must be wider
-    let mut smooth = scenario(CrossKind::Cbr, 41);
-    let r_smooth = Pathload::new(PathloadConfig::default()).run(&mut smooth);
-    let w_smooth = r_smooth.range_bps.1 - r_smooth.range_bps.0;
-
-    let mut bursty = scenario(CrossKind::ParetoOnOff, 42);
-    let r_bursty = Pathload::new(PathloadConfig::default()).run(&mut bursty);
-    let w_bursty = r_bursty.range_bps.1 - r_bursty.range_bps.0;
+    let width = |cross, seed| {
+        let mut s = scenario(cross, seed);
+        let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+        let (lo, hi) = s
+            .session()
+            .drive(&mut s.sim, &mut tool)
+            .range_bps()
+            .expect("Pathload reports a range");
+        hi - lo
+    };
+    let w_smooth = width(CrossKind::Cbr, 41);
+    let w_bursty = width(CrossKind::ParetoOnOff, 42);
 
     assert!(
         w_bursty >= w_smooth,
