@@ -7,7 +7,7 @@
 //! an RNG change, or an executor ordering bug. The tests render through
 //! the same `abw_bench::reports` code path the binaries use.
 //!
-//! The Figure 2 and 6, Pitfall 5 and Fallacy 3 experiments are pinned
+//! The Figure 2, 3, 4 and 6, Pitfall 5 and Fallacy 3 experiments are pinned
 //! as the `{:?}` text of their quick-config result, which prints every
 //! `f64` exactly, so even a last-bit change in an estimate shows.
 //!
@@ -22,7 +22,9 @@ use std::path::Path;
 
 use abw_bench::reports::{shootout_table, table1_table};
 use abw_bench::Format;
+use abw_core::experiments::burstiness::{self, BurstinessConfig};
 use abw_core::experiments::latency_accuracy::{self, LatencyAccuracyConfig};
+use abw_core::experiments::multi_bottleneck::{self, MultiBottleneckConfig};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 use abw_core::experiments::tight_vs_narrow::{self, TightVsNarrowConfig};
@@ -74,6 +76,18 @@ fn table1_quick_csv_matches_golden() {
 fn fig2_quick_result_matches_golden() {
     let result = timescale_knob::run(&TimescaleConfig::quick());
     check_golden("fig2_quick.txt", &format!("{result:?}\n"));
+}
+
+#[test]
+fn fig3_quick_result_matches_golden() {
+    let result = burstiness::run(&BurstinessConfig::quick());
+    check_golden("fig3_quick.txt", &format!("{result:?}\n"));
+}
+
+#[test]
+fn fig4_quick_result_matches_golden() {
+    let result = multi_bottleneck::run(&MultiBottleneckConfig::quick());
+    check_golden("fig4_quick.txt", &format!("{result:?}\n"));
 }
 
 #[test]
