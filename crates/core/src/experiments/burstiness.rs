@@ -8,6 +8,7 @@
 //! the mean `Ro/Ri` over 500 streams against `Ri` for CBR, Poisson and
 //! Pareto ON-OFF cross traffic on the canonical 50/25 link.
 
+use abw_exec::Executor;
 use abw_netsim::SimDuration;
 use abw_stats::running::Running;
 
@@ -85,42 +86,54 @@ pub struct BurstinessResult {
     pub curves: Vec<BurstinessCurve>,
 }
 
-/// Runs the Figure 3 experiment.
+/// Runs the Figure 3 experiment with the executor configured from
+/// `ABW_JOBS`.
 pub fn run(config: &BurstinessConfig) -> BurstinessResult {
-    let curves = config
+    run_with(config, &Executor::from_env())
+}
+
+/// Runs the Figure 3 experiment, fanning the curves (one per cross
+/// model, each with its own seeded scenario) across `exec`.
+pub fn run_with(config: &BurstinessConfig, exec: &Executor) -> BurstinessResult {
+    let jobs: Vec<_> = config
         .models
         .iter()
-        .map(|&model| {
-            let mut s = Scenario::single_hop(&SingleHopConfig {
-                cross: model,
-                seed: config.seed.wrapping_add(model as u64),
-                ..SingleHopConfig::default()
-            });
-            s.warm_up(SimDuration::from_millis(500));
-            let mut runner = s.runner();
-            runner.stream_gap = SimDuration::from_millis(10);
-            let points = config
-                .rates_bps
-                .iter()
-                .map(|&ri| {
-                    let spec = StreamSpec::Periodic {
-                        rate_bps: ri,
-                        size: config.packet_size,
-                        count: config.packets_per_stream,
-                    };
-                    let mut ratios = Running::new();
-                    for _ in 0..config.streams_per_point {
-                        if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
-                            ratios.push(ratio.min(1.0));
-                        }
-                    }
-                    (ri / 1e6, ratios.mean())
-                })
-                .collect();
-            BurstinessCurve { model, points }
+        .map(|&model| move || curve(config, model))
+        .collect();
+    BurstinessResult {
+        curves: exec.run(jobs),
+    }
+}
+
+/// One curve: the rate sweep against cross traffic of `model`.
+fn curve(config: &BurstinessConfig, model: CrossKind) -> BurstinessCurve {
+    let mut s = Scenario::single_hop(&SingleHopConfig {
+        cross: model,
+        seed: config.seed.wrapping_add(model as u64),
+        ..SingleHopConfig::default()
+    });
+    s.warm_up(SimDuration::from_millis(500));
+    let mut runner = s.runner();
+    runner.stream_gap = SimDuration::from_millis(10);
+    let points = config
+        .rates_bps
+        .iter()
+        .map(|&ri| {
+            let spec = StreamSpec::Periodic {
+                rate_bps: ri,
+                size: config.packet_size,
+                count: config.packets_per_stream,
+            };
+            let mut ratios = Running::new();
+            for _ in 0..config.streams_per_point {
+                if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
+                    ratios.push(ratio.min(1.0));
+                }
+            }
+            (ri / 1e6, ratios.mean())
         })
         .collect();
-    BurstinessResult { curves }
+    BurstinessCurve { model, points }
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! canonical single-hop path and reports the latency-accuracy trade-off
 //! that tool comparisons must account for.
 
+use abw_exec::Executor;
 use abw_netsim::SimDuration;
 use abw_stats::running::Running;
 use abw_stats::sampling::relative_error;
@@ -83,48 +84,80 @@ impl LatencyAccuracyResult {
     }
 }
 
-/// Runs the sweep.
+/// Runs the sweep with the executor configured from `ABW_JOBS`.
 pub fn run(config: &LatencyAccuracyConfig) -> LatencyAccuracyResult {
+    run_with(config, &Executor::from_env())
+}
+
+/// Runs the sweep, fanning every `(streams, duration, repetition)`
+/// replication (each with its own seeded scenario) across `exec`, then
+/// folding each cell's replications back in repetition order.
+pub fn run_with(config: &LatencyAccuracyConfig, exec: &Executor) -> LatencyAccuracyResult {
     let truth = 25e6;
-    let mut cells = Vec::new();
-    for &streams in &config.stream_counts {
-        for &duration_ms in &config.durations_ms {
+    let cells: Vec<(u32, u64)> = config
+        .stream_counts
+        .iter()
+        .flat_map(|&streams| config.durations_ms.iter().map(move |&ms| (streams, ms)))
+        .collect();
+    let jobs: Vec<_> = cells
+        .iter()
+        .flat_map(|&(streams, duration_ms)| {
+            (0..config.repetitions)
+                .map(move |rep| move || estimate(config, streams, duration_ms, rep))
+        })
+        .collect();
+    let mut replications = exec.run(jobs).into_iter();
+    let cells = cells
+        .into_iter()
+        .map(|(streams, duration_ms)| {
             let mut errors = Vec::new();
             let mut estimates = Running::new();
             let mut latency = Running::new();
-            for rep in 0..config.repetitions {
-                let mut s = Scenario::single_hop(&SingleHopConfig {
-                    cross: CrossKind::Poisson,
-                    seed: config
-                        .seed
-                        .wrapping_add((rep as u64) << 32)
-                        .wrapping_add(streams as u64 * 1000 + duration_ms),
-                    ..SingleHopConfig::default()
-                });
-                s.warm_up(SimDuration::from_millis(300));
-                let mut tool = DirectProber::new(DirectConfig {
-                    tight_capacity_bps: 50e6,
-                    input_rate_bps: 40e6,
-                    packet_size: 1500,
-                    stream_duration: SimDuration::from_millis(duration_ms),
-                    streams,
-                })
-                .estimator();
-                let verdict = s.session().drive(&mut s.sim, &mut tool);
-                errors.push(relative_error(verdict.avail_bps(), truth).abs());
-                estimates.push(verdict.avail_bps());
-                latency.push(verdict.elapsed_secs());
+            for (avail_bps, elapsed_secs) in replications.by_ref().take(config.repetitions as usize)
+            {
+                errors.push(relative_error(avail_bps, truth).abs());
+                estimates.push(avail_bps);
+                latency.push(elapsed_secs);
             }
-            cells.push(LatencyAccuracyCell {
+            LatencyAccuracyCell {
                 streams,
                 duration_ms,
                 latency_secs: latency.mean(),
                 mean_abs_error: errors.iter().sum::<f64>() / errors.len() as f64,
                 estimate_sd_mbps: estimates.stddev() / 1e6,
-            });
-        }
-    }
+            }
+        })
+        .collect();
     LatencyAccuracyResult { cells }
+}
+
+/// One replication of a cell: the `(avail_bps, elapsed_secs)` of a
+/// direct-probing estimate on a freshly seeded single-hop path.
+fn estimate(
+    config: &LatencyAccuracyConfig,
+    streams: u32,
+    duration_ms: u64,
+    rep: u32,
+) -> (f64, f64) {
+    let mut s = Scenario::single_hop(&SingleHopConfig {
+        cross: CrossKind::Poisson,
+        seed: config
+            .seed
+            .wrapping_add((rep as u64) << 32)
+            .wrapping_add(streams as u64 * 1000 + duration_ms),
+        ..SingleHopConfig::default()
+    });
+    s.warm_up(SimDuration::from_millis(300));
+    let mut tool = DirectProber::new(DirectConfig {
+        tight_capacity_bps: 50e6,
+        input_rate_bps: 40e6,
+        packet_size: 1500,
+        stream_duration: SimDuration::from_millis(duration_ms),
+        streams,
+    })
+    .estimator();
+    let verdict = s.session().drive(&mut s.sim, &mut tool);
+    (verdict.avail_bps(), verdict.elapsed_secs())
 }
 
 #[cfg(test)]

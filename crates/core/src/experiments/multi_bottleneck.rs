@@ -8,6 +8,9 @@
 //! `Ri` for paths of 1, 3 and 5 tight links with one-hop persistent
 //! Poisson cross traffic.
 
+use std::cmp::Reverse;
+
+use abw_exec::Executor;
 use abw_netsim::SimDuration;
 use abw_stats::running::Running;
 
@@ -83,42 +86,63 @@ pub struct MultiBottleneckResult {
     pub curves: Vec<MultiBottleneckCurve>,
 }
 
-/// Runs the Figure 4 experiment.
+/// Runs the Figure 4 experiment with the executor configured from
+/// `ABW_JOBS`.
 pub fn run(config: &MultiBottleneckConfig) -> MultiBottleneckResult {
-    let curves = config
-        .tight_link_counts
+    run_with(config, &Executor::from_env())
+}
+
+/// Runs the Figure 4 experiment, fanning the curves (one per path
+/// length, each with its own seeded scenario) across `exec`.
+///
+/// A curve's cost grows with its number of hops, so the curves are
+/// submitted longest path first and the result restores config order.
+pub fn run_with(config: &MultiBottleneckConfig, exec: &Executor) -> MultiBottleneckResult {
+    let mut order: Vec<usize> = (0..config.tight_link_counts.len()).collect();
+    order.sort_by_key(|&i| Reverse(config.tight_link_counts[i]));
+    let jobs: Vec<_> = order
         .iter()
-        .map(|&n| {
-            let mut s =
-                Scenario::multi_tight(n, CrossKind::Poisson, config.seed.wrapping_add(n as u64));
-            s.warm_up(SimDuration::from_millis(500));
-            let mut runner = s.runner();
-            runner.stream_gap = SimDuration::from_millis(10);
-            let points = config
-                .rates_bps
-                .iter()
-                .map(|&ri| {
-                    let spec = StreamSpec::Periodic {
-                        rate_bps: ri,
-                        size: config.packet_size,
-                        count: config.packets_per_stream,
-                    };
-                    let mut ratios = Running::new();
-                    for _ in 0..config.streams_per_point {
-                        if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
-                            ratios.push(ratio.min(1.0));
-                        }
-                    }
-                    (ri / 1e6, ratios.mean())
-                })
-                .collect();
-            MultiBottleneckCurve {
-                tight_links: n,
-                points,
-            }
+        .map(|&i| {
+            let n = config.tight_link_counts[i];
+            move || curve(config, n)
         })
         .collect();
-    MultiBottleneckResult { curves }
+    let mut curves: Vec<(usize, MultiBottleneckCurve)> =
+        order.into_iter().zip(exec.run(jobs)).collect();
+    curves.sort_by_key(|&(i, _)| i);
+    MultiBottleneckResult {
+        curves: curves.into_iter().map(|(_, c)| c).collect(),
+    }
+}
+
+/// One curve: the rate sweep over a path of `n` tight links.
+fn curve(config: &MultiBottleneckConfig, n: usize) -> MultiBottleneckCurve {
+    let mut s = Scenario::multi_tight(n, CrossKind::Poisson, config.seed.wrapping_add(n as u64));
+    s.warm_up(SimDuration::from_millis(500));
+    let mut runner = s.runner();
+    runner.stream_gap = SimDuration::from_millis(10);
+    let points = config
+        .rates_bps
+        .iter()
+        .map(|&ri| {
+            let spec = StreamSpec::Periodic {
+                rate_bps: ri,
+                size: config.packet_size,
+                count: config.packets_per_stream,
+            };
+            let mut ratios = Running::new();
+            for _ in 0..config.streams_per_point {
+                if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
+                    ratios.push(ratio.min(1.0));
+                }
+            }
+            (ri / 1e6, ratios.mean())
+        })
+        .collect();
+    MultiBottleneckCurve {
+        tight_links: n,
+        points,
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! paper's Figure 2 shows the two curves nearly coincide across stream
 //! durations of 25–200 ms.
 
+use abw_exec::Executor;
 use abw_netsim::SimDuration;
 
 use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
@@ -69,55 +70,65 @@ pub struct TimescaleResult {
     pub rows: Vec<TimescaleRow>,
 }
 
-/// Runs the Figure 2 experiment: for each stream duration, collect
-/// direct-probing samples on a fresh Poisson-loaded 50/25 link, then
-/// compare against the population statistics from the same run's busy
-/// log.
+/// Runs the Figure 2 experiment with the executor configured from
+/// `ABW_JOBS`.
 pub fn run(config: &TimescaleConfig) -> TimescaleResult {
-    let rows = config
+    run_with(config, &Executor::from_env())
+}
+
+/// Runs the Figure 2 experiment, fanning the rows (one per stream
+/// duration, each with its own seeded scenario) across `exec`.
+pub fn run_with(config: &TimescaleConfig, exec: &Executor) -> TimescaleResult {
+    let jobs: Vec<_> = config
         .durations_ms
         .iter()
-        .map(|&ms| {
-            // a fresh scenario per duration keeps runs independent
-            let mut s = Scenario::single_hop(&SingleHopConfig {
-                cross: CrossKind::Poisson,
-                seed: config.seed.wrapping_add(ms),
-                ..SingleHopConfig::default()
-            });
-            s.warm_up(SimDuration::from_millis(500));
-            let mut tool = DirectProber::new(DirectConfig {
-                tight_capacity_bps: 50e6,
-                input_rate_bps: config.input_rate_bps,
-                packet_size: 1500,
-                stream_duration: SimDuration::from_millis(ms),
-                streams: config.streams,
-            })
-            .estimator();
-            s.session().drive(&mut s.sim, &mut tool);
-            let samples = tool.into_samples();
-            let sample_stats = abw_stats::running::Running::from_samples(&samples);
-
-            // Population statistics at the same timescale. The probing
-            // itself perturbs the link, so exclude the probe's own load:
-            // ground truth comes from a probe-free replica of the run.
-            let mut replica = Scenario::single_hop(&SingleHopConfig {
-                cross: CrossKind::Poisson,
-                seed: config.seed.wrapping_add(ms),
-                ..SingleHopConfig::default()
-            });
-            replica.warm_up(SimDuration::from_millis(500));
-            replica.sim.run_for(SimDuration::from_secs(20));
-            let population = replica.ground_truth(0).population(ms * 1_000_000);
-
-            TimescaleRow {
-                duration_ms: ms,
-                sample_sd_mbps: sample_stats.stddev() / 1e6,
-                population_sd_mbps: population.stddev() / 1e6,
-                sample_mean_mbps: sample_stats.mean() / 1e6,
-            }
-        })
+        .map(|&ms| move || row(config, ms))
         .collect();
-    TimescaleResult { rows }
+    TimescaleResult {
+        rows: exec.run(jobs),
+    }
+}
+
+/// One row: direct-probing samples with `ms`-long streams on a fresh
+/// Poisson-loaded 50/25 link, against the population statistics of a
+/// probe-free replica's busy log.
+fn row(config: &TimescaleConfig, ms: u64) -> TimescaleRow {
+    let mut s = Scenario::single_hop(&SingleHopConfig {
+        cross: CrossKind::Poisson,
+        seed: config.seed.wrapping_add(ms),
+        ..SingleHopConfig::default()
+    });
+    s.warm_up(SimDuration::from_millis(500));
+    let mut tool = DirectProber::new(DirectConfig {
+        tight_capacity_bps: 50e6,
+        input_rate_bps: config.input_rate_bps,
+        packet_size: 1500,
+        stream_duration: SimDuration::from_millis(ms),
+        streams: config.streams,
+    })
+    .estimator();
+    s.session().drive(&mut s.sim, &mut tool);
+    let samples = tool.into_samples();
+    let sample_stats = abw_stats::running::Running::from_samples(&samples);
+
+    // Population statistics at the same timescale. The probing itself
+    // perturbs the link, so exclude the probe's own load: ground truth
+    // comes from a probe-free replica of the run.
+    let mut replica = Scenario::single_hop(&SingleHopConfig {
+        cross: CrossKind::Poisson,
+        seed: config.seed.wrapping_add(ms),
+        ..SingleHopConfig::default()
+    });
+    replica.warm_up(SimDuration::from_millis(500));
+    replica.sim.run_for(SimDuration::from_secs(20));
+    let population = replica.ground_truth(0).population(ms * 1_000_000);
+
+    TimescaleRow {
+        duration_ms: ms,
+        sample_sd_mbps: sample_stats.stddev() / 1e6,
+        population_sd_mbps: population.stddev() / 1e6,
+        sample_mean_mbps: sample_stats.mean() / 1e6,
+    }
 }
 
 #[cfg(test)]

@@ -135,17 +135,27 @@ fn arch_allow_fixtures_lint_clean() {
 
 #[test]
 fn layering_except_entries_are_exempt() {
-    // the deny fixture's import is legal from the sanctioned wiring
-    // site named in the edge's `except` list
-    let config = LintConfig::embedded();
+    // the deny fixture's import is legal from a sanctioned wiring site
+    // named in the edge's `except` list, and still denied next door
+    let config = abw_lint::config::parse(
+        "[[layering.deny]]\n\
+         from = \"crates/core/src/tools/*\"\n\
+         import = [\"abw_netsim::Simulator\"]\n\
+         except = [\"crates/core/src/tools/wiring.rs\"]\n\
+         reason = \"estimators consume StreamResults\"\n",
+    )
+    .expect("inline lint config parses");
     let source = read_fixture("l1_layering_deny.rs");
-    let findings = lint_source_configured(
-        &FileContext::lib("core"),
-        Path::new("crates/core/src/tools/mod.rs"),
-        &source,
-        &config,
+    let lint = |rel: &str| {
+        lint_source_configured(&FileContext::lib("core"), Path::new(rel), &source, &config)
+    };
+    let exempt = lint("crates/core/src/tools/wiring.rs");
+    assert!(exempt.is_empty(), "{exempt:?}");
+    let denied = lint("crates/core/src/tools/fake.rs");
+    assert!(
+        denied.iter().any(|f| f.rule == Rule::Layering),
+        "{denied:?}"
     );
-    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

@@ -84,10 +84,28 @@ pub struct LinkCounters {
 
 /// Merged busy intervals of a link: `(start, end)` pairs in nanoseconds,
 /// non-overlapping and sorted. Back-to-back transmissions coalesce.
+///
+/// Layout: the most recent interval stays *open* as absolute `u64`
+/// nanoseconds, so coalescing a back-to-back transmission touches no
+/// packed storage. When a gap closes it, it is committed as a `u32`
+/// `(start, end)` offset pair from its epoch's `u64` base: 8 bytes per
+/// interval instead of 16. A new epoch starts at the interval's start
+/// whenever its end would pass `u32::MAX` ns (~4.29 s) beyond the
+/// current base. A single busy period longer than that is split into
+/// epoch-sized pieces, and the reader re-merges touching pieces (the log
+/// never otherwise holds two touching intervals).
 #[derive(Debug, Clone, Default)]
 pub struct BusyLog {
-    intervals: Vec<(u64, u64)>,
+    /// `(base_ns, index of the epoch's first piece)`, both increasing.
+    epochs: Vec<(u64, usize)>,
+    /// Committed intervals as offsets from their epoch's base.
+    pieces: Vec<(u32, u32)>,
+    /// The last interval, still growing.
+    open: Option<(u64, u64)>,
 }
+
+/// Widest offset an epoch can hold, in nanoseconds.
+const EPOCH_SPAN_NS: u64 = u32::MAX as u64;
 
 impl BusyLog {
     /// Appends a busy interval, merging with the previous one when they
@@ -95,24 +113,152 @@ impl BusyLog {
     pub fn push(&mut self, start: SimTime, end: SimTime) {
         let (s, e) = (start.as_nanos(), end.as_nanos());
         debug_assert!(s <= e, "busy interval ends before it starts");
-        if let Some(last) = self.intervals.last_mut() {
+        if let Some(last) = self.open.as_mut() {
             debug_assert!(s >= last.0, "busy intervals out of order");
             if s <= last.1 {
                 last.1 = last.1.max(e);
                 return;
             }
         }
-        self.intervals.push((s, e));
+        if let Some((ls, le)) = self.open.replace((s, e)) {
+            self.commit(ls, le);
+        }
     }
 
-    /// The merged `(start_ns, end_ns)` intervals.
-    pub fn intervals(&self) -> &[(u64, u64)] {
-        &self.intervals
+    /// Packs a closed interval into the current epoch, opening new
+    /// epochs (and splitting the interval) as its end requires.
+    fn commit(&mut self, mut s: u64, e: u64) {
+        loop {
+            let base = match self.epochs.last() {
+                Some(&(base, _)) if e - base <= EPOCH_SPAN_NS => base,
+                _ => {
+                    self.epochs.push((s, self.pieces.len()));
+                    s
+                }
+            };
+            let piece_end = e.min(base.saturating_add(EPOCH_SPAN_NS));
+            // lint: allow(panic_free) -- base <= s <= piece_end <= base + u32::MAX, as chosen above
+            let offset = |t: u64| u32::try_from(t - base).expect("busy offset fits its epoch");
+            self.pieces.push((offset(s), offset(piece_end)));
+            if piece_end == e {
+                return;
+            }
+            s = piece_end;
+        }
+    }
+
+    /// The merged `(start_ns, end_ns)` intervals, in order.
+    pub fn intervals(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.read_from(0, 0)
+    }
+
+    /// The packed pieces of epoch `k` (empty past the last epoch).
+    fn epoch_pieces(&self, k: usize) -> &[(u32, u32)] {
+        let end = self.pieces.len();
+        let first = self.epochs.get(k).map_or(end, |&(_, i)| i);
+        let last = self.epochs.get(k + 1).map_or(end, |&(_, i)| i);
+        self.pieces.get(first..last).unwrap_or_default()
+    }
+
+    /// A reader starting at the `skip`-th piece of epoch `epoch`.
+    fn read_from(&self, epoch: usize, skip: usize) -> BusyIntervals<'_> {
+        BusyIntervals {
+            log: self,
+            base: self.epochs.get(epoch).map_or(0, |&(base, _)| base),
+            unread: self
+                .epoch_pieces(epoch)
+                .get(skip..)
+                .unwrap_or_default()
+                .iter(),
+            next_epoch: epoch + 1,
+            open: self.open,
+            pending: None,
+        }
+    }
+
+    /// The merged intervals clipped to `[t0, t1)`, empty clips dropped.
+    ///
+    /// Equal to clipping every interval of [`BusyLog::intervals`], but
+    /// the reader binary-searches its way to `t0` (epoch, then piece)
+    /// and stops at the first interval starting at or after `t1`, so a
+    /// short window of a long log costs `O(log n)` plus its own
+    /// intervals.
+    pub fn clipped(&self, t0: SimTime, t1: SimTime) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (a, b) = (t0.as_nanos(), t1.as_nanos());
+        let epoch = self
+            .epochs
+            .partition_point(|&(base, _)| base <= a)
+            .saturating_sub(1);
+        let rel = a.saturating_sub(self.epochs.get(epoch).map_or(0, |&(base, _)| base));
+        let skip = self
+            .epoch_pieces(epoch)
+            .partition_point(|&(_, pe)| u64::from(pe) <= rel);
+        self.read_from(epoch, skip)
+            .take_while(move |&(s, _)| s < b)
+            .filter_map(move |(s, e)| {
+                let (cs, ce) = (s.max(a), e.min(b));
+                (cs < ce).then_some((cs, ce))
+            })
     }
 
     /// Total recorded busy time.
     pub fn total_busy(&self) -> SimDuration {
-        SimDuration::from_nanos(self.intervals.iter().map(|(s, e)| e - s).sum())
+        let packed: u64 = self.pieces.iter().map(|&(s, e)| u64::from(e - s)).sum();
+        let open = self.open.map_or(0, |(s, e)| e - s);
+        SimDuration::from_nanos(packed + open)
+    }
+}
+
+/// Reader of a [`BusyLog`]'s merged `(start_ns, end_ns)` intervals.
+#[derive(Debug, Clone)]
+struct BusyIntervals<'a> {
+    log: &'a BusyLog,
+    /// Base of the epoch `unread` belongs to.
+    base: u64,
+    /// That epoch's pieces not read yet.
+    unread: std::slice::Iter<'a, (u32, u32)>,
+    /// The epoch to enter when `unread` runs out.
+    next_epoch: usize,
+    /// The log's open interval, read after the last epoch.
+    open: Option<(u64, u64)>,
+    /// A piece read ahead while looking for a touching continuation.
+    pending: Option<(u64, u64)>,
+}
+
+impl BusyIntervals<'_> {
+    /// The next raw piece in absolute nanoseconds, unmerged.
+    fn piece(&mut self) -> Option<(u64, u64)> {
+        loop {
+            if let Some(&(s, e)) = self.unread.next() {
+                return Some((self.base + u64::from(s), self.base + u64::from(e)));
+            }
+            let Some(&(base, _)) = self.log.epochs.get(self.next_epoch) else {
+                return self.open.take();
+            };
+            self.base = base;
+            self.unread = self.log.epoch_pieces(self.next_epoch).iter();
+            self.next_epoch += 1;
+        }
+    }
+}
+
+impl Iterator for BusyIntervals<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let (s, mut e) = self.pending.take().or_else(|| self.piece())?;
+        // Pieces of one epoch never touch: only a busy period split at
+        // an epoch's end continues, as the next epoch's first piece.
+        if self.unread.as_slice().is_empty() {
+            while let Some((ns, ne)) = self.piece() {
+                if ns != e {
+                    self.pending = Some((ns, ne));
+                    break;
+                }
+                e = ne;
+            }
+        }
+        Some((s, e))
     }
 }
 
@@ -575,7 +721,7 @@ mod tests {
         assert_eq!(a.take(r2).seq, 2);
         assert!(!more);
         // back-to-back transmissions merge into one busy interval
-        assert_eq!(l.busy_log().intervals().len(), 1);
+        assert_eq!(l.busy_log().intervals().count(), 1);
         assert_eq!(l.busy_log().total_busy(), SimDuration::from_millis(2));
     }
 
@@ -623,7 +769,7 @@ mod tests {
         log.push(SimTime::from_nanos(0), SimTime::from_nanos(10));
         log.push(SimTime::from_nanos(10), SimTime::from_nanos(20));
         log.push(SimTime::from_nanos(30), SimTime::from_nanos(40));
-        assert_eq!(log.intervals(), &[(0, 20), (30, 40)]);
+        assert_eq!(log.intervals().collect::<Vec<_>>(), [(0, 20), (30, 40)]);
         assert_eq!(log.total_busy(), SimDuration::from_nanos(30));
     }
 

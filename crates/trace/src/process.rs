@@ -68,18 +68,12 @@ impl AvailBw {
     /// Builds the process from a simulated link's busy log, restricted to
     /// `[t0, t1)`. Intervals straddling the horizon edges are clipped.
     pub fn from_link(link: &Link, t0: SimTime, t1: SimTime) -> Self {
-        let (a, b) = (t0.as_nanos(), t1.as_nanos());
-        let clipped: Vec<(u64, u64)> = link
-            .busy_log()
-            .intervals()
-            .iter()
-            .filter_map(|&(s, e)| {
-                let cs = s.max(a);
-                let ce = e.min(b);
-                (cs < ce).then_some((cs, ce))
-            })
-            .collect();
-        AvailBw::new(link.capacity_bps(), &clipped, (a, b))
+        let clipped: Vec<(u64, u64)> = link.busy_log().clipped(t0, t1).collect();
+        AvailBw::new(
+            link.capacity_bps(),
+            &clipped,
+            (t0.as_nanos(), t1.as_nanos()),
+        )
     }
 
     /// Link capacity in bits/s.
@@ -289,6 +283,53 @@ mod tests {
         let p = half_loaded();
         for b in [1u64, 7, 13, 500, 999] {
             assert_eq!(p.busy_ns(0, 1000), p.busy_ns(0, b) + p.busy_ns(b, 1000));
+        }
+    }
+
+    #[test]
+    fn windowed_from_link_equals_a_full_scan_on_a_multi_epoch_log() {
+        use abw_netsim::{CountingSink, FlowId, LinkConfig, LinkId, SimDuration, Simulator};
+        use abw_traffic::{PoissonProcess, SizeDist, SourceAgent};
+
+        // 12 s of light Poisson load: three `u32` epochs of busy offsets
+        let mut sim = Simulator::new();
+        let link = sim.add_link(LinkConfig::new(10e6, SimDuration::ZERO));
+        let path = sim.add_path(vec![link]);
+        let sink = sim.add_agent(Box::new(CountingSink::new()));
+        let proc = PoissonProcess::new(2e6, SizeDist::Constant(1500), 7);
+        sim.add_agent(Box::new(SourceAgent::new(
+            Box::new(proc),
+            path,
+            sink,
+            FlowId(0),
+        )));
+        sim.run_until(SimTime::from_nanos(12_000_000_000));
+        let link = sim.link(LinkId(0));
+        let all: Vec<(u64, u64)> = link.busy_log().intervals().collect();
+        let full_scan = |a: u64, b: u64| {
+            let clipped: Vec<(u64, u64)> = all
+                .iter()
+                .filter_map(|&(s, e)| {
+                    let (cs, ce) = (s.max(a), e.min(b));
+                    (cs < ce).then_some((cs, ce))
+                })
+                .collect();
+            AvailBw::new(link.capacity_bps(), &clipped, (a, b))
+        };
+        let epoch = u64::from(u32::MAX);
+        for (a, b) in [
+            (0, 12_000_000_000),
+            (epoch - 3_000_000, epoch + 3_000_000),
+            (2 * epoch - 1, 2 * epoch + 1),
+            (5_000_000_000, 5_000_000_001),
+            (all[500].0, all[500].1),
+            (all[1200].1, all[1201].0),
+            (11_000_000_000, 13_000_000_000),
+        ] {
+            let windowed = AvailBw::from_link(link, SimTime::from_nanos(a), SimTime::from_nanos(b));
+            let reference = full_scan(a, b);
+            assert_eq!(windowed.intervals(), reference.intervals(), "[{a}, {b})");
+            assert_eq!(windowed.busy_ns(a, b), reference.busy_ns(a, b));
         }
     }
 }

@@ -14,10 +14,14 @@
 
 use abw_bench::reports::{loss_sweep_table, shootout_table, table1_table};
 use abw_bench::Format;
+use abw_core::experiments::burstiness::{self, BurstinessConfig};
+use abw_core::experiments::latency_accuracy::{self, LatencyAccuracyConfig};
 use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
+use abw_core::experiments::multi_bottleneck::{self, MultiBottleneckConfig};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 use abw_core::experiments::tcp_throughput::{self, TcpThroughputConfig};
+use abw_core::experiments::timescale_knob::{self, TimescaleConfig};
 use abw_core::experiments::train_length::{self, TrainLengthConfig};
 use abw_core::experiments::trend_thresholds::{self, TrendThresholdsConfig};
 use abw_core::experiments::variability::{self, VariabilityConfig};
@@ -144,4 +148,36 @@ fn train_length_is_bit_identical_across_worker_counts() {
         let b = train_length::run_with(&config, &parallel());
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed:#x}");
     }
+}
+
+#[test]
+fn multi_bottleneck_is_bit_identical_across_worker_counts() {
+    let config = MultiBottleneckConfig::quick();
+    let a = multi_bottleneck::run_with(&config, &serial());
+    let b = multi_bottleneck::run_with(&config, &parallel());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn burstiness_is_bit_identical_across_worker_counts() {
+    let config = BurstinessConfig::quick();
+    let a = burstiness::run_with(&config, &serial());
+    let b = burstiness::run_with(&config, &parallel());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn timescale_knob_is_bit_identical_across_worker_counts() {
+    let config = TimescaleConfig::quick();
+    let a = timescale_knob::run_with(&config, &serial());
+    let b = timescale_knob::run_with(&config, &parallel());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+#[test]
+fn latency_accuracy_is_bit_identical_across_worker_counts() {
+    let config = LatencyAccuracyConfig::quick();
+    let a = latency_accuracy::run_with(&config, &serial());
+    let b = latency_accuracy::run_with(&config, &parallel());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

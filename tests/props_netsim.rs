@@ -3,8 +3,8 @@
 //! topologies and traffic.
 
 use abwe::netsim::{
-    packet_to, Agent, AgentId, CountingSink, Ctx, FlowId, Impairment, ImpairmentConfig, LinkConfig,
-    LinkId, LossModel, Packet, PacketKind, PathId, SimDuration, Simulator,
+    packet_to, Agent, AgentId, BusyLog, CountingSink, Ctx, FlowId, Impairment, ImpairmentConfig,
+    LinkConfig, LinkId, LossModel, Packet, PacketKind, PathId, SimDuration, SimTime, Simulator,
 };
 use proptest::prelude::*;
 
@@ -244,6 +244,110 @@ proptest! {
                 rate <= capacity * 1.001,
                 "delivered {rate} b/s over a {capacity} b/s link"
             );
+        }
+    }
+}
+
+/// The `(u64, u64)` merge the packed [`BusyLog`] must reproduce.
+fn reference_push(log: &mut Vec<(u64, u64)>, s: u64, e: u64) {
+    if let Some(last) = log.last_mut() {
+        if s <= last.1 {
+            last.1 = last.1.max(e);
+            return;
+        }
+    }
+    log.push((s, e));
+}
+
+/// One push of a busy-log script: how the interval starts relative to
+/// the previous one (0 touch, 1 overlap, 2 short gap, 3 gap past
+/// `u32::MAX` ns) and how long it lasts (0 empty, 1 short, 2 past
+/// `u32::MAX` ns).
+fn busy_step() -> impl Strategy<Value = (u8, u64, u8, u64)> {
+    (0u8..4, 1u64..5_000_000_000, 0u8..3, 1u64..10_000_000_000)
+}
+
+const PAST_EPOCH_NS: u64 = 1 << 32;
+
+/// `(start, end)` of each step, laid out from time zero.
+fn busy_script(steps: &[(u8, u64, u8, u64)]) -> Vec<(u64, u64)> {
+    let (mut last_start, mut cursor) = (0, 0);
+    steps
+        .iter()
+        .map(|&(gap_kind, gap, len_kind, len)| {
+            let s = match gap_kind {
+                0 => cursor,
+                1 => last_start + (cursor - last_start) / 2,
+                2 => cursor + gap % 10_000,
+                _ => cursor + PAST_EPOCH_NS + gap,
+            };
+            let e = s + match len_kind {
+                0 => 0,
+                1 => len % 20_000,
+                _ => PAST_EPOCH_NS + len,
+            };
+            last_start = s;
+            cursor = cursor.max(e);
+            (s, e)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The packed `u32`-offset log reads back exactly what a plain
+    /// `(u64, u64)` merge holds, whole and through any clipped window,
+    /// for touching, overlapping, gapped and over-long busy periods,
+    /// from time zero up to the last representable nanosecond.
+    #[test]
+    fn busy_log_matches_a_u64_merge(
+        steps in prop::collection::vec(busy_step(), 1..40),
+        near_max in 0u8..2,
+        slack in 0u64..3,
+        windows in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..6),
+    ) {
+        let script = busy_script(&steps);
+        let script = if near_max == 1 {
+            // shift so the last end lands within a few ns of u64::MAX
+            let last_end = script.iter().map(|&(_, e)| e).max().unwrap_or(0);
+            let shift = u64::MAX - slack - last_end;
+            script.iter().map(|&(s, e)| (s + shift, e + shift)).collect()
+        } else {
+            script
+        };
+        let mut log = BusyLog::default();
+        let mut reference = Vec::new();
+        for &(s, e) in &script {
+            log.push(SimTime::from_nanos(s), SimTime::from_nanos(e));
+            reference_push(&mut reference, s, e);
+        }
+        let packed: Vec<(u64, u64)> = log.intervals().collect();
+        prop_assert_eq!(&packed, &reference);
+        let total: u64 = reference.iter().map(|&(s, e)| e - s).sum();
+        prop_assert_eq!(log.total_busy(), SimDuration::from_nanos(total));
+
+        let lo = script[0].0;
+        let hi = script.iter().map(|&(_, e)| e).max().unwrap_or(lo);
+        let at = |f: f64| lo + (((hi - lo) as f64 * f) as u64).min(hi - lo);
+        let random = windows.iter().map(|&(fa, fb)| (at(fa.min(fb)), at(fa.max(fb))));
+        // windows on the exact edges of busy and idle periods
+        let edges = reference
+            .iter()
+            .zip(reference.iter().skip(1))
+            .flat_map(|(x, y)| [*x, (x.1, y.0)]);
+        for (a, b) in random.chain(edges) {
+            let expected: Vec<(u64, u64)> = reference
+                .iter()
+                .filter_map(|&(s, e)| {
+                    let (cs, ce) = (s.max(a), e.min(b));
+                    (cs < ce).then_some((cs, ce))
+                })
+                .collect();
+            let windowed: Vec<(u64, u64)> = log
+                .clipped(SimTime::from_nanos(a), SimTime::from_nanos(b))
+                .collect();
+            prop_assert_eq!(windowed, expected, "window [{}, {})", a, b);
         }
     }
 }
