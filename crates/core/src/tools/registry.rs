@@ -206,9 +206,9 @@ static TOOLS: [ToolEntry; 11] = [
     },
     // Sends pathChirp's exact chirp stream (same start rate, gamma,
     // packets per chirp) and differs only in receiver-side smoothing,
-    // so its perf-harness cost rows are byte-identical to
-    // `pathchirp`'s by construction. Pinned by
-    // `shared_engine_tool_pairs_have_identical_probe_cost`.
+    // so its cost row in `tests/golden/costs_quick.txt` is identical to
+    // `pathchirp`'s by construction. `tests/cost_golden.rs` asserts the
+    // equality by name.
     ToolEntry {
         name: "schirp",
         module: "schirp",
@@ -240,9 +240,9 @@ static TOOLS: [ToolEntry; 11] = [
         },
     },
     // Shares the Igi probing engine with the entry above — only the
-    // estimator differs, so its perf-harness cost rows (probe packets,
-    // events) are byte-identical to `igi`'s by construction. Pinned by
-    // `shared_engine_tool_pairs_have_identical_probe_cost`.
+    // estimator differs, so its cost row (probe packets, events) in
+    // `tests/golden/costs_quick.txt` is identical to `igi`'s by
+    // construction. `tests/cost_golden.rs` asserts the equality by name.
     ToolEntry {
         name: "ptr",
         module: "igi",

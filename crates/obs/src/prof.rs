@@ -6,13 +6,13 @@
 //!
 //! * **Cost counters** ([`Cost`], [`count`], [`snapshot`]) — monotonic
 //!   tallies of *work done*: events popped off the simulator queue,
-//!   packets simulated, link-queue operations, RNG draws, estimator
-//!   steps, heap allocations. They are wall-clock-free, which is what
-//!   makes them legal inside `core`/`netsim` under lint rule D1 — the
-//!   simulation may count its own work, it may not read real time.
-//!   Counts accumulate in plain thread-local cells (no atomics on the
-//!   hot path) and are folded into process-wide totals by
-//!   [`flush_thread`] / [`snapshot`].
+//!   packets simulated, link-queue operations, impairment draws,
+//!   estimator steps, fluid-window packets. They are wall-clock-free,
+//!   which is what makes them legal inside `core`/`netsim` under lint
+//!   rule D1 — the simulation may count its own work, it may not read
+//!   real time. Counts accumulate in plain thread-local cells (no
+//!   atomics on the hot path) and are folded into process-wide totals
+//!   by [`flush_thread`] / [`snapshot`].
 //! * **Spans** ([`span`], [`SpanGuard`], [`Profile`]) — RAII scoped
 //!   timers forming a tree (a thread-local span stack). The clock is
 //!   *injected* by the harness via [`enable`]: until then every guard
@@ -51,27 +51,25 @@ pub enum Cost {
     PacketsSimulated = 1,
     /// Link-queue operations (packet enqueues and dequeues).
     QueueOps = 2,
-    /// Random draws consumed by the impairment pipeline.
+    /// Random draws consumed by the impairment pipeline (loss, reorder
+    /// and jitter decisions); printed as `impair_draws`. Cross-traffic
+    /// arrival draws are not counted, so a run without impairments
+    /// reports 0.
     RngDraws = 3,
     /// Estimator state-machine steps (`Estimator::next` calls).
     ToolSteps = 4,
-    /// Heap allocations (counted only when the `alloc-count` feature's
-    /// [`CountingAlloc`] is installed as the global allocator).
-    HeapAllocs = 5,
-    /// Heap bytes requested (same caveat as [`Cost::HeapAllocs`]).
-    HeapBytes = 6,
     /// Eventless windows the calendar event queue skipped in bulk
     /// (cursor jumps of more than one bucket — the "fluid fast-forward"
     /// over provably idle simulated time).
-    FfSkips = 7,
+    FfSkips = 5,
     /// Packets that bypassed the event queue entirely through the
     /// simulator's fluid burst path (still counted in
     /// [`Cost::PacketsSimulated`]).
-    FluidPackets = 8,
+    FluidPackets = 6,
 }
 
 /// Number of [`Cost`] categories.
-const COSTS: usize = 9;
+const COSTS: usize = 7;
 
 /// Every category, in display order.
 pub const ALL_COSTS: [Cost; COSTS] = [
@@ -80,8 +78,6 @@ pub const ALL_COSTS: [Cost; COSTS] = [
     Cost::QueueOps,
     Cost::RngDraws,
     Cost::ToolSteps,
-    Cost::HeapAllocs,
-    Cost::HeapBytes,
     Cost::FfSkips,
     Cost::FluidPackets,
 ];
@@ -93,46 +89,21 @@ impl Cost {
             Cost::EventsPopped => "events_popped",
             Cost::PacketsSimulated => "packets_simulated",
             Cost::QueueOps => "queue_ops",
-            Cost::RngDraws => "rng_draws",
+            Cost::RngDraws => "impair_draws",
             Cost::ToolSteps => "tool_steps",
-            Cost::HeapAllocs => "heap_allocs",
-            Cost::HeapBytes => "heap_bytes",
             Cost::FfSkips => "ff_skips",
             Cost::FluidPackets => "fluid_packets",
         }
     }
 }
 
-/// Process-wide totals, fed by [`flush_thread`] (and directly by the
-/// counting allocator, which cannot use thread-locals).
-static GLOBAL_COSTS: [AtomicU64; COSTS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+/// Process-wide totals, fed by [`flush_thread`].
+static GLOBAL_COSTS: [AtomicU64; COSTS] = [const { AtomicU64::new(0) }; COSTS];
 
 thread_local! {
     /// Per-thread tallies: plain cells, no synchronization on the hot
     /// path. Flushed to [`GLOBAL_COSTS`] by [`flush_thread`].
-    static LOCAL_COSTS: [Cell<u64>; COSTS] = const {
-        [
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-        ]
-    };
+    static LOCAL_COSTS: [Cell<u64>; COSTS] = const { [const { Cell::new(0) }; COSTS] };
 }
 
 /// Tallies one unit of `cost` on the calling thread.
@@ -602,44 +573,6 @@ pub fn take_profile() -> Profile {
         .unwrap_or_default()
 }
 
-// ---------------------------------------------------------------------
-// Counting allocator (feature-gated; installed only by perf harness
-// binaries)
-// ---------------------------------------------------------------------
-
-/// A global allocator that tallies [`Cost::HeapAllocs`] /
-/// [`Cost::HeapBytes`] while delegating to the system allocator.
-///
-/// Behind the `alloc-count` feature and installed only by `abw-bench`'s
-/// `perf` binary (`#[global_allocator]`); library crates never pay for
-/// it. Counts go straight to the process totals — the allocator runs
-/// under conditions (thread teardown, TLS init) where thread-locals are
-/// off-limits.
-#[cfg(feature = "alloc-count")]
-pub struct CountingAlloc;
-
-#[cfg(feature = "alloc-count")]
-// SAFETY: delegates allocation verbatim to `std::alloc::System`; the
-// added atomic counting has no effect on the returned memory.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        GLOBAL_COSTS[Cost::HeapAllocs as usize].fetch_add(1, Ordering::Relaxed);
-        GLOBAL_COSTS[Cost::HeapBytes as usize].fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        GLOBAL_COSTS[Cost::HeapAllocs as usize].fetch_add(1, Ordering::Relaxed);
-        let grown = new_size.saturating_sub(layout.size());
-        GLOBAL_COSTS[Cost::HeapBytes as usize].fetch_add(grown as u64, Ordering::Relaxed);
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,10 +602,8 @@ mod tests {
                 "events_popped",
                 "packets_simulated",
                 "queue_ops",
-                "rng_draws",
+                "impair_draws",
                 "tool_steps",
-                "heap_allocs",
-                "heap_bytes",
                 "ff_skips",
                 "fluid_packets",
             ]

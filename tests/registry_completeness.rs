@@ -52,44 +52,3 @@ fn find_round_trips_every_name_into_a_working_estimator() {
         );
     }
 }
-
-/// `BENCH_*.json` shows byte-identical cost rows for two tool pairs —
-/// `igi`/`ptr` (same probe packets, same events) and
-/// `pathchirp`/`schirp`. That is genuine, not a registry bug: each
-/// pair shares one probing engine (`ptr` is the `Igi` gap-increase
-/// train with the turning-point *rate* estimator instead of the IGI
-/// formula; `schirp` sends pathChirp's exact chirp stream and only
-/// smooths the receiver-side delay series). Identical probe streams
-/// must cost identical packets and events; this pins the equality so
-/// an accidental config divergence (or a registry entry built from
-/// the wrong constructor) shows up as a test failure, not as a silent
-/// shift in the perf baseline.
-#[test]
-fn shared_engine_tool_pairs_have_identical_probe_cost() {
-    use abwe::core::scenario::{Scenario, SingleHopConfig};
-    use abwe::netsim::SimDuration;
-
-    let probe_cost = |name: &str| -> (u64, u64) {
-        let entry = registry::find(name).unwrap();
-        let mut s = Scenario::single_hop(&SingleHopConfig {
-            seed: 11,
-            ..SingleHopConfig::default()
-        });
-        s.warm_up(SimDuration::from_millis(500));
-        let mut tool = entry.build(&ToolConfig::quick());
-        let mut session = s.session();
-        let events_before = s.sim.counters().injected;
-        let verdict = session.drive(&mut s.sim, tool.as_mut());
-        (
-            verdict.probe_packets(),
-            s.sim.counters().injected - events_before,
-        )
-    };
-    for (a, b) in [("igi", "ptr"), ("pathchirp", "schirp")] {
-        assert_eq!(
-            probe_cost(a),
-            probe_cost(b),
-            "`{a}` and `{b}` share a probing engine; their probe cost must match"
-        );
-    }
-}
