@@ -112,6 +112,9 @@ pub struct ProbeRecord {
 #[derive(Default)]
 pub struct ProbeReceiver {
     streams: BTreeMap<u32, Vec<ProbeRecord>>,
+    /// `(stream id, expected packets)` of the stream whose completion
+    /// halts the simulation (see [`ProbeReceiver::arm`]).
+    armed: Option<(u32, usize)>,
 }
 
 impl ProbeReceiver {
@@ -120,13 +123,20 @@ impl ProbeReceiver {
         ProbeReceiver::default()
     }
 
-    /// Packets received so far for `stream`.
-    pub fn received(&self, stream: u32) -> usize {
-        self.streams.get(&stream).map_or(0, Vec::len)
+    /// Halts the simulation ([`Ctx::halt`]) once, at the packet that
+    /// brings `stream` to `expected` records. Replaces any earlier arm.
+    pub fn arm(&mut self, stream: u32, expected: usize) {
+        self.armed = Some((stream, expected));
     }
 
-    /// Removes and returns the records of `stream`, sorted by sequence.
+    /// Removes and returns the records of `stream`, sorted by sequence,
+    /// and disarms the receiver if it was armed for `stream`: a late
+    /// packet of a stream its runner gave up on must not halt a later
+    /// run.
     pub fn take(&mut self, stream: u32) -> Vec<ProbeRecord> {
+        if self.armed.is_some_and(|(s, _)| s == stream) {
+            self.armed = None;
+        }
         let mut v = self.streams.remove(&stream).unwrap_or_default();
         v.sort_by_key(|r| r.seq);
         v
@@ -138,11 +148,19 @@ impl Agent for ProbeReceiver {
         let PacketKind::Probe { stream } = packet.kind else {
             return;
         };
-        self.streams.entry(stream).or_default().push(ProbeRecord {
+        let records = self.streams.entry(stream).or_default();
+        records.push(ProbeRecord {
             seq: packet.seq as u32,
             sent_at: packet.sent_at,
             recv_at: ctx.now(),
         });
+        if self
+            .armed
+            .is_some_and(|(s, expected)| s == stream && records.len() >= expected)
+        {
+            self.armed = None;
+            ctx.halt();
+        }
     }
 }
 
@@ -248,6 +266,10 @@ impl StreamResult {
     }
 }
 
+/// The grid, counted from the start of [`ProbeRunner::run_stream`], on
+/// which a complete stream's run ends.
+const COMPLETION_GRID: SimDuration = SimDuration::from_millis(5);
+
 /// Orchestrates probing streams over a simulator: arms the sender, runs
 /// the event loop until the stream drains, and collects the result.
 ///
@@ -283,6 +305,10 @@ impl ProbeRunner {
     /// Sends one stream and returns its measurements. The simulation
     /// advances until every packet arrived or the drain timeout expires
     /// (lost packets simply stay absent from the result).
+    ///
+    /// A complete stream ends the run at the next 5 ms boundary counted
+    /// from the call's start, so the next stream launches on that grid;
+    /// a lossy stream costs exactly the drain timeout.
     pub fn run_stream(&mut self, sim: &mut Simulator, spec: &StreamSpec) -> StreamResult {
         let _prof = abw_obs::prof::span("probe.stream");
         let id = self.next_stream_id;
@@ -290,21 +316,19 @@ impl ProbeRunner {
 
         sim.agent_mut::<ProbeSender>(self.sender)
             .arm(spec.clone(), id);
-        let launch_at = sim.now() + self.stream_gap;
+        let start = sim.now();
+        let launch_at = start + self.stream_gap;
         sim.schedule_timer(self.sender, launch_at, TOKEN_LAUNCH);
 
-        let expected = spec.count() as usize;
         let deadline = launch_at + spec.duration() + self.drain_timeout;
-        // advance in slices so we can stop as soon as the stream is in;
-        // the final slice is clamped so a lossy stream costs exactly the
-        // drain timeout, never a slice more
-        let slice = SimDuration::from_millis(5);
-        while sim.now() < deadline {
-            let step = slice.min(deadline.since(sim.now()));
-            sim.run_for(step);
-            if sim.agent::<ProbeReceiver>(self.receiver).received(id) >= expected {
-                break;
-            }
+        sim.agent_mut::<ProbeReceiver>(self.receiver)
+            .arm(id, spec.count() as usize);
+        // the receiver halts the run at the stream's last packet
+        if sim.run_until(deadline) {
+            let grid = COMPLETION_GRID.as_nanos();
+            let slices = sim.now().since(start).as_nanos().div_ceil(grid).max(1);
+            let boundary = start + SimDuration::from_nanos(slices * grid);
+            sim.run_until(boundary.min(deadline));
         }
         let records = sim.agent_mut::<ProbeReceiver>(self.receiver).take(id);
         StreamResult {
@@ -869,6 +893,117 @@ mod tests {
         assert_eq!(r.loss_fraction(), 1.0);
         let deadline = t0 + runner.stream_gap + spec.duration() + runner.drain_timeout;
         assert_eq!(sim.now(), deadline, "run_stream overran its drain deadline");
+    }
+
+    /// The 5 ms polling loop `run_stream` ran before receivers could
+    /// halt the simulation: slice by slice until the receiver holds the
+    /// whole stream, the last slice clamped to the deadline. The
+    /// halt-driven runner must match it exactly.
+    fn run_stream_polling(
+        runner: &mut ProbeRunner,
+        sim: &mut Simulator,
+        spec: &StreamSpec,
+    ) -> StreamResult {
+        let id = runner.next_stream_id;
+        runner.next_stream_id += 1;
+        sim.agent_mut::<ProbeSender>(runner.sender)
+            .arm(spec.clone(), id);
+        let launch_at = sim.now() + runner.stream_gap;
+        sim.schedule_timer(runner.sender, launch_at, TOKEN_LAUNCH);
+        let expected = spec.count() as usize;
+        let deadline = launch_at + spec.duration() + runner.drain_timeout;
+        while sim.now() < deadline {
+            let step = COMPLETION_GRID.min(deadline.since(sim.now()));
+            sim.run_for(step);
+            let receiver = sim.agent::<ProbeReceiver>(runner.receiver);
+            if receiver.streams.get(&id).map_or(0, Vec::len) >= expected {
+                break;
+            }
+        }
+        let records = sim.agent_mut::<ProbeReceiver>(runner.receiver).take(id);
+        StreamResult {
+            spec: spec.clone(),
+            stream_id: id,
+            records,
+        }
+    }
+
+    /// Sends the same stream sequence through the halt-driven runner
+    /// and the polling reference on twin scenarios, comparing records,
+    /// clock and packet counters after every stream.
+    fn assert_matches_polling(build: impl Fn() -> crate::scenario::Scenario, fluid: bool) {
+        let (mut a, mut b) = (build(), build());
+        for s in [&mut a, &mut b] {
+            s.sim.set_fluid(fluid);
+            s.warm_up(SimDuration::from_millis(200));
+        }
+        let (mut ra, mut rb) = (a.runner(), b.runner());
+        for r in [&mut ra, &mut rb] {
+            r.stream_gap = SimDuration::from_millis(10);
+            r.drain_timeout = SimDuration::from_millis(100);
+        }
+        let specs = [
+            StreamSpec::Periodic {
+                rate_bps: 10e6,
+                size: 1500,
+                count: 40,
+            },
+            StreamSpec::Periodic {
+                rate_bps: 40e6,
+                size: 1500,
+                count: 100,
+            },
+            StreamSpec::Pair {
+                rate_bps: 100e6,
+                size: 1500,
+            },
+            StreamSpec::Chirp {
+                start_rate_bps: 5e6,
+                gamma: 1.2,
+                size: 1000,
+                count: 15,
+            },
+            StreamSpec::Periodic {
+                rate_bps: 24e6,
+                size: 700,
+                count: 60,
+            },
+        ];
+        for (k, spec) in specs.iter().cycle().take(15).enumerate() {
+            let got = ra.run_stream(&mut a.sim, spec);
+            let want = run_stream_polling(&mut rb, &mut b.sim, spec);
+            assert_eq!(got.stream_id, want.stream_id, "stream {k}");
+            assert_eq!(got.records, want.records, "stream {k}: records");
+            assert_eq!(a.sim.now(), b.sim.now(), "stream {k}: clock");
+            assert_eq!(a.sim.counters(), b.sim.counters(), "stream {k}: counters");
+        }
+    }
+
+    #[test]
+    fn halt_driven_runner_matches_polling_on_multi_tight_paths() {
+        use crate::scenario::{CrossKind, Scenario};
+        for fluid in [true, false] {
+            for n in [1, 3] {
+                assert_matches_polling(|| Scenario::multi_tight(n, CrossKind::Poisson, 77), fluid);
+            }
+        }
+    }
+
+    #[test]
+    fn halt_driven_runner_matches_polling_on_an_impaired_hop() {
+        use crate::scenario::{CrossKind, HopSpec, Scenario};
+        // loss leaves some streams incomplete (they run to the deadline);
+        // reorder and jitter shuffle which packet completes a stream
+        let hops = || {
+            vec![
+                HopSpec::canonical(CrossKind::Poisson),
+                HopSpec::canonical(CrossKind::Poisson)
+                    .with_impairment_spec("loss=0.01, reorder=0.05:300us, jitter=200us"),
+            ]
+        };
+        for fluid in [true, false] {
+            assert_matches_polling(|| Scenario::from_hops(hops(), 5), fluid);
+        }
     }
 
     #[test]

@@ -104,6 +104,7 @@ pub struct Ctx<'a> {
     pub(crate) next_packet_id: &'a mut u64,
     pub(crate) injected: &'a mut u64,
     pub(crate) recorder: Option<&'a mut (dyn Recorder + 'static)>,
+    pub(crate) halt: &'a mut bool,
 }
 
 impl Ctx<'_> {
@@ -151,6 +152,21 @@ impl Ctx<'_> {
         *self.injected += 1;
         let pkt = self.arena.alloc(packet);
         self.events.push(self.now, Event::Arrive { packet: pkt });
+    }
+
+    /// Ends the [`run_until`](crate::sim::Simulator::run_until) in
+    /// progress right after the current event, with the clock at this
+    /// event's time; the call reports the halt in its return value.
+    /// Events still queued, including ones at this same instant, run on
+    /// the next call. A halt outside `run_until` (during
+    /// `run_to_quiescence`, or from `on_start` while no run is in
+    /// progress) is ignored.
+    ///
+    /// Passive sinks ([`Agent::is_passive_sink`]) must never halt: their
+    /// deliveries run inside fluid windows, where no event boundary
+    /// exists to stop at.
+    pub fn halt(&mut self) {
+        *self.halt = true;
     }
 
     /// Delivers `packet` directly to `dst` after `delay`, bypassing all

@@ -69,6 +69,9 @@ pub struct Simulator {
     /// Deadline of the in-progress `run_until` (`u64::MAX` ns during
     /// `run_to_quiescence`); fluid windows must not advance past it.
     run_deadline: SimTime,
+    /// Set by [`Ctx::halt`]; ends the `run_until` in progress after the
+    /// current event. Cleared on entry to every run.
+    halted: bool,
     /// When true (default), routers answer TTL expiry with ICMP
     /// time-exceeded messages on an uncongested reverse path.
     pub icmp_replies: bool,
@@ -116,6 +119,7 @@ impl Simulator {
             started: false,
             fluid_enabled: true,
             run_deadline: SimTime::ZERO,
+            halted: false,
             icmp_replies: true,
             recorder,
             fluid_scratch: std::collections::VecDeque::new(),
@@ -318,13 +322,19 @@ impl Simulator {
         self.events.push(at, Event::Timer { agent, token });
     }
 
-    /// Runs the event loop until simulated time reaches `deadline`.
+    /// Runs the event loop until simulated time reaches `deadline`, or
+    /// until an agent calls [`Ctx::halt`].
     ///
-    /// Events at exactly `deadline` are processed. On return the clock
-    /// reads `deadline` even if the event queue drained earlier.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    /// Events at exactly `deadline` are processed. Without a halt, the
+    /// clock reads `deadline` on return even if the event queue drained
+    /// earlier, and the call returns `false`. After a halt the call
+    /// returns `true` right after the halting event, with the clock at
+    /// that event's time; events still queued at that instant run first
+    /// on the next call.
+    pub fn run_until(&mut self, deadline: SimTime) -> bool {
         let _prof = prof::span("sim.run_until");
         self.ensure_started();
+        self.halted = false;
         self.run_deadline = deadline;
         while let Some((t, event)) = self.events.pop_at_or_before(deadline) {
             debug_assert!(t >= self.time, "event loop went back in time");
@@ -336,8 +346,12 @@ impl Simulator {
             );
             self.time = t;
             self.handle(event);
+            if self.halted {
+                return true;
+            }
         }
         self.time = deadline;
+        false
     }
 
     /// Runs the event loop for `d` of simulated time.
@@ -350,6 +364,8 @@ impl Simulator {
     pub fn run_to_quiescence(&mut self) -> SimTime {
         let _prof = prof::span("sim.run_to_quiescence");
         self.ensure_started();
+        // runs to the end regardless: a halt raised here is dropped
+        self.halted = false;
         self.run_deadline = SimTime::from_nanos(u64::MAX);
         while let Some((t, event)) = self.events.pop() {
             invariant!(
@@ -460,6 +476,7 @@ impl Simulator {
                     .recorder
                     .as_deref_mut()
                     .map(|r| r as &mut (dyn Recorder + 'static)),
+                halt: &mut self.halted,
             };
             agent.on_timer(&mut ctx, token);
         }
@@ -472,6 +489,7 @@ impl Simulator {
     /// take/restore through the agent table is hoisted out of the loop.
     #[inline]
     fn deliver_to(&mut self, agent: &mut dyn Agent, id: AgentId, now: SimTime, packet: Packet) {
+        let mut halt = false;
         let mut ctx = Ctx {
             now,
             agent: id,
@@ -481,8 +499,10 @@ impl Simulator {
             injected: &mut self.counters.injected,
             // the fluid gate already requires no recorder
             recorder: None,
+            halt: &mut halt,
         };
         agent.on_packet(&mut ctx, packet);
+        debug_assert!(!halt, "a passive sink raised a halt");
     }
 
     /// Processes queued virtual deliveries with key below `bound`
@@ -1049,6 +1069,7 @@ impl Simulator {
     fn dispatch_agent(&mut self, id: AgentId, call: AgentCall) {
         // lint: allow(panic_free) -- agent ids index the simulator's own table; the box is only absent mid-dispatch, which never re-enters
         let mut agent = self.agents[id.0].take().expect("re-entrant agent dispatch");
+        let mut halt = false;
         {
             let mut ctx = Ctx {
                 now: self.time,
@@ -1061,12 +1082,20 @@ impl Simulator {
                     .recorder
                     .as_deref_mut()
                     .map(|r| r as &mut (dyn Recorder + 'static)),
+                halt: &mut halt,
             };
             match call {
                 AgentCall::Start => agent.on_start(&mut ctx),
                 AgentCall::Packet(p) => agent.on_packet(&mut ctx, p),
             }
         }
+        // passive sinks also take deliveries inside fluid windows, which
+        // have no event boundary to stop at
+        debug_assert!(
+            !(halt && agent.is_passive_sink()),
+            "a passive sink raised a halt"
+        );
+        self.halted |= halt;
         // lint: allow(panic_free) -- restoring the box taken above; same id
         self.agents[id.0] = Some(agent);
     }
@@ -1577,6 +1606,113 @@ mod tests {
         let mut sim = Simulator::new();
         sim.run_until(SimTime::from_nanos(5_000));
         assert_eq!(sim.now(), SimTime::from_nanos(5_000));
+    }
+
+    /// Logs every timer it fires; halts on the tokens in `halt_on`, and
+    /// in `on_start` when `halt_at_start` is set.
+    #[derive(Default)]
+    struct Halter {
+        halt_on: Vec<u64>,
+        halt_at_start: bool,
+        fired: Vec<(u64, u64)>,
+    }
+
+    impl Agent for Halter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.halt_at_start {
+                ctx.halt();
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.fired.push((ctx.now().as_nanos(), token));
+            if self.halt_on.contains(&token) {
+                ctx.halt();
+            }
+        }
+    }
+
+    /// A simulator with one [`Halter`] and timers 1 @ 100 ns, 2 and 3
+    /// @ 200 ns (in that order) and 4 @ 300 ns.
+    fn halter_sim(halter: Halter) -> (Simulator, AgentId) {
+        let mut sim = Simulator::new();
+        let a = sim.add_agent(Box::new(halter));
+        for (at, token) in [(100, 1), (200, 2), (200, 3), (300, 4)] {
+            sim.schedule_timer(a, SimTime::from_nanos(at), token);
+        }
+        (sim, a)
+    }
+
+    #[test]
+    fn halt_stops_the_clock_at_the_halting_event() {
+        let (mut sim, a) = halter_sim(Halter {
+            halt_on: vec![2],
+            ..Halter::default()
+        });
+        assert!(sim.run_until(SimTime::from_nanos(1_000)));
+        assert_eq!(sim.now(), SimTime::from_nanos(200));
+        assert_eq!(sim.agent::<Halter>(a).fired, vec![(100, 1), (200, 2)]);
+        // timer 3 shares the halting instant: still queued, and it runs
+        // first on the next call
+        assert!(!sim.run_until(SimTime::from_nanos(1_000)));
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000));
+        assert_eq!(
+            sim.agent::<Halter>(a).fired,
+            vec![(100, 1), (200, 2), (200, 3), (300, 4)]
+        );
+    }
+
+    #[test]
+    fn halt_outside_run_until_never_cuts_a_later_run_short() {
+        // raised during run_to_quiescence: the run goes on to the end
+        let (mut sim, a) = halter_sim(Halter {
+            halt_on: vec![2],
+            ..Halter::default()
+        });
+        assert_eq!(sim.run_to_quiescence(), SimTime::from_nanos(300));
+        assert_eq!(sim.agent::<Halter>(a).fired.len(), 4);
+        sim.schedule_timer(a, SimTime::from_nanos(500), 5);
+        sim.schedule_timer(a, SimTime::from_nanos(600), 6);
+        assert!(!sim.run_until(SimTime::from_nanos(1_000)));
+        assert_eq!(sim.now(), SimTime::from_nanos(1_000));
+        assert_eq!(sim.agent::<Halter>(a).fired.len(), 6);
+
+        // raised from on_start by an agent added between runs, while no
+        // run is waiting for it
+        let b = sim.add_agent(Box::new(Halter {
+            halt_at_start: true,
+            ..Halter::default()
+        }));
+        sim.schedule_timer(b, SimTime::from_nanos(1_500), 7);
+        assert!(!sim.run_until(SimTime::from_nanos(2_000)));
+        assert_eq!(sim.now(), SimTime::from_nanos(2_000));
+        assert_eq!(sim.agent::<Halter>(b).fired, vec![(1_500, 7)]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "passive sink raised a halt")]
+    fn passive_sink_halt_is_a_debug_assertion() {
+        struct HaltingSink;
+        impl Agent for HaltingSink {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: Packet) {
+                ctx.halt();
+            }
+            fn is_passive_sink(&self) -> bool {
+                true
+            }
+        }
+        let (mut sim, link) = one_link_sim(12e6, 1);
+        let path = sim.add_path(vec![link]);
+        let sink = sim.add_agent(Box::new(HaltingSink));
+        sim.add_agent(Box::new(PeriodicSender {
+            path,
+            dst: sink,
+            n: 1,
+            size: 1500,
+            gap: SimDuration::from_millis(1),
+            sent: 0,
+        }));
+        sim.run_until(SimTime::from_nanos(1_000_000_000));
     }
 
     #[test]
