@@ -92,57 +92,86 @@ pub fn run(config: &MultiBottleneckConfig) -> MultiBottleneckResult {
     run_with(config, &Executor::from_env())
 }
 
-/// Runs the Figure 4 experiment, fanning the curves (one per path
-/// length, each with its own seeded scenario) across `exec`.
+/// Idle gap before each probing stream.
+const STREAM_GAP: SimDuration = SimDuration::from_millis(10);
+
+/// Runs the Figure 4 experiment, one job per `(path length n, rate
+/// index i)` point across `exec`.
 ///
-/// A curve's cost grows with its number of hops, so the curves are
-/// submitted longest path first and the result restores config order.
+/// Every point owns a fresh scenario seeded `seed + n + (i << 32)`, the
+/// rule `trend_thresholds` uses, so the first point of each curve keeps
+/// the seed its whole curve once had. A point costs about `n × (stream
+/// duration + gap)` per stream, so the points are submitted costliest
+/// first and the result restores config order.
 pub fn run_with(config: &MultiBottleneckConfig, exec: &Executor) -> MultiBottleneckResult {
-    let mut order: Vec<usize> = (0..config.tight_link_counts.len()).collect();
-    order.sort_by_key(|&i| Reverse(config.tight_link_counts[i]));
+    let rates = config.rates_bps.len();
+    let cells: Vec<(usize, usize)> = config
+        .tight_link_counts
+        .iter()
+        .flat_map(|&n| (0..rates).map(move |i| (n, i)))
+        .collect();
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by_key(|&k| {
+        let (n, i) = cells[k];
+        let per_stream = stream(config, config.rates_bps[i]).duration() + STREAM_GAP;
+        Reverse(n as u64 * per_stream.as_nanos())
+    });
     let jobs: Vec<_> = order
         .iter()
-        .map(|&i| {
-            let n = config.tight_link_counts[i];
-            move || curve(config, n)
+        .map(|&k| {
+            let (n, i) = cells[k];
+            move || point(config, n, i)
         })
         .collect();
-    let mut curves: Vec<(usize, MultiBottleneckCurve)> =
-        order.into_iter().zip(exec.run(jobs)).collect();
-    curves.sort_by_key(|&(i, _)| i);
-    MultiBottleneckResult {
-        curves: curves.into_iter().map(|(_, c)| c).collect(),
+    let mut ratios = vec![0.0; cells.len()];
+    for (k, ratio) in order.into_iter().zip(exec.run(jobs)) {
+        ratios[k] = ratio;
+    }
+    let curves = config
+        .tight_link_counts
+        .iter()
+        .enumerate()
+        .map(|(c, &n)| MultiBottleneckCurve {
+            tight_links: n,
+            points: config
+                .rates_bps
+                .iter()
+                .enumerate()
+                .map(|(i, &ri)| (ri / 1e6, ratios[c * rates + i]))
+                .collect(),
+        })
+        .collect();
+    MultiBottleneckResult { curves }
+}
+
+/// The probing stream of every point at input rate `ri`.
+fn stream(config: &MultiBottleneckConfig, ri: f64) -> StreamSpec {
+    StreamSpec::Periodic {
+        rate_bps: ri,
+        size: config.packet_size,
+        count: config.packets_per_stream,
     }
 }
 
-/// One curve: the rate sweep over a path of `n` tight links.
-fn curve(config: &MultiBottleneckConfig, n: usize) -> MultiBottleneckCurve {
-    let mut s = Scenario::multi_tight(n, CrossKind::Poisson, config.seed.wrapping_add(n as u64));
+/// One point: the mean `Ro/Ri` of the rate at index `i` over a path of
+/// `n` tight links.
+fn point(config: &MultiBottleneckConfig, n: usize, i: usize) -> f64 {
+    let seed = config
+        .seed
+        .wrapping_add(n as u64)
+        .wrapping_add((i as u64) << 32);
+    let mut s = Scenario::multi_tight(n, CrossKind::Poisson, seed);
     s.warm_up(SimDuration::from_millis(500));
     let mut runner = s.runner();
-    runner.stream_gap = SimDuration::from_millis(10);
-    let points = config
-        .rates_bps
-        .iter()
-        .map(|&ri| {
-            let spec = StreamSpec::Periodic {
-                rate_bps: ri,
-                size: config.packet_size,
-                count: config.packets_per_stream,
-            };
-            let mut ratios = Running::new();
-            for _ in 0..config.streams_per_point {
-                if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
-                    ratios.push(ratio.min(1.0));
-                }
-            }
-            (ri / 1e6, ratios.mean())
-        })
-        .collect();
-    MultiBottleneckCurve {
-        tight_links: n,
-        points,
+    runner.stream_gap = STREAM_GAP;
+    let spec = stream(config, config.rates_bps[i]);
+    let mut ratios = Running::new();
+    for _ in 0..config.streams_per_point {
+        if let Some(ratio) = runner.run_stream(&mut s.sim, &spec).rate_ratio() {
+            ratios.push(ratio.min(1.0));
+        }
     }
+    ratios.mean()
 }
 
 #[cfg(test)]
