@@ -13,8 +13,7 @@
 //!   [`JsonlRecorder`] streams one JSON object per event;
 //!   [`MemoryRecorder`] buffers events for in-process analysis;
 //!   [`SharedRecorder`] fans multiple simulators into one sink.
-//! * [`metrics`] — monotonic [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and a fixed-bucket log-linear
+//! * [`metrics`] — a fixed-bucket log-linear
 //!   [`metrics::LogLinearHistogram`] sized for OWD / queue-depth / gap
 //!   distributions.
 //! * [`manifest::RunManifest`] — seeds, scenario parameters, a
@@ -49,6 +48,6 @@ pub mod record;
 pub use event::{Event, Field, OwnedEvent, OwnedValue, Phase, Value};
 pub use manifest::{LinkSnapshot, RunManifest};
 pub use merge::Merge;
-pub use metrics::{Counter, Gauge, LogLinearHistogram};
+pub use metrics::LogLinearHistogram;
 pub use prof::{Cost, Profile, SpanGuard};
 pub use record::{JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, SharedRecorder};

@@ -7,38 +7,24 @@
 //! parallel run indistinguishable from a serial one. [`Merge`] is the
 //! contract every foldable type implements:
 //!
-//! * counters **sum** (commutative, but still folded in order),
 //! * histograms merge **bucket-wise** (geometry-checked),
-//! * gauges take the **last** value by job index (what a serial run
-//!   would have ended with),
 //! * event buffers **append** in job order,
+//! * span profiles merge node by name (counts and times sum),
 //! * link snapshots and manifests use their existing accumulation
 //!   rules.
 
 use crate::manifest::{LinkSnapshot, RunManifest};
-use crate::metrics::{Counter, Gauge, LogLinearHistogram};
+use crate::metrics::LogLinearHistogram;
 use crate::prof::Profile;
 use crate::record::MemoryRecorder;
 
 /// Fold another instance of the same observable into `self`.
 ///
 /// Callers merge fragments in **job-index order**; implementations whose
-/// semantics are order-sensitive (gauges, event buffers) rely on that.
+/// semantics are order-sensitive (event buffers) rely on that.
 pub trait Merge {
     /// Accumulates `other` into `self`.
     fn merge_from(&mut self, other: &Self);
-}
-
-impl Merge for Counter {
-    fn merge_from(&mut self, other: &Self) {
-        Counter::merge_from(self, other);
-    }
-}
-
-impl Merge for Gauge {
-    fn merge_from(&mut self, other: &Self) {
-        Gauge::merge_from(self, other);
-    }
 }
 
 impl Merge for LogLinearHistogram {
@@ -84,39 +70,6 @@ mod tests {
     use super::*;
     use crate::event::Value;
     use crate::record::Recorder as _;
-
-    #[test]
-    fn counters_sum() {
-        let mut a = Counter::new();
-        a.add(3);
-        let mut b = Counter::new();
-        b.add(4);
-        Merge::merge_from(&mut a, &b);
-        assert_eq!(a.get(), 7);
-    }
-
-    #[test]
-    fn counters_saturate_across_merge() {
-        let mut a = Counter::new();
-        a.add(u64::MAX - 1);
-        let mut b = Counter::new();
-        b.add(10);
-        Merge::merge_from(&mut a, &b);
-        assert_eq!(a.get(), u64::MAX);
-    }
-
-    #[test]
-    fn gauges_take_last_by_job_index() {
-        let mut worker0 = Gauge::new();
-        worker0.set(1.0);
-        let mut worker1 = Gauge::new();
-        worker1.set(2.0);
-        let mut worker2 = Gauge::new();
-        worker2.set(3.0);
-        let mut merged = Gauge::new();
-        merge_in_order(&mut merged, &[worker0, worker1, worker2]);
-        assert_eq!(merged.get(), 3.0, "last job's reading wins");
-    }
 
     #[test]
     fn histograms_merge_bucket_wise() {

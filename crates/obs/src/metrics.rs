@@ -1,7 +1,6 @@
-//! Metric primitives: monotonic counters, gauges, and a fixed-bucket
-//! log-linear histogram.
+//! A fixed-bucket log-linear histogram.
 //!
-//! The histogram is the workhorse: OWDs, queue depths and pair gaps are
+//! OWDs, queue depths and pair gaps are
 //! all heavy-tailed, spanning 3–6 orders of magnitude, so linear
 //! bucketing either loses the head or truncates the tail. Log-linear
 //! bucketing (HdrHistogram's scheme) keeps a bounded relative error at
@@ -10,80 +9,6 @@
 //! what per-link aggregation into a run manifest needs.
 
 use crate::json::ObjectWriter;
-
-/// A monotonic counter. Saturates instead of wrapping: a counter that
-/// silently restarts at zero corrupts every rate computed from it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Adds `other`'s count into this counter (saturating) — counters
-    /// from independent workers sum.
-    #[inline]
-    pub fn merge_from(&mut self, other: &Counter) {
-        self.add(other.0);
-    }
-}
-
-/// A last-value-wins gauge.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Adds to the value.
-    #[inline]
-    pub fn add(&mut self, dv: f64) {
-        self.0 += dv;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-
-    /// Takes `other`'s value — a gauge is last-value-wins, so merging
-    /// worker gauges in job-index order leaves the last job's reading,
-    /// exactly what a serial run would have ended with.
-    #[inline]
-    pub fn merge_from(&mut self, other: &Gauge) {
-        self.0 = other.0;
-    }
-}
 
 /// A fixed-bucket log-linear histogram over `u64` values.
 ///
@@ -303,25 +228,6 @@ impl LogLinearHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let mut c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.inc();
-        assert_eq!(c.get(), u64::MAX);
-        c.inc();
-        c.add(12345);
-        assert_eq!(c.get(), u64::MAX, "counter must saturate, not wrap");
-    }
-
-    #[test]
-    fn gauge_set_add() {
-        let mut g = Gauge::new();
-        g.set(2.5);
-        g.add(-1.0);
-        assert_eq!(g.get(), 1.5);
-    }
 
     #[test]
     fn bucket_boundaries_are_log_linear() {

@@ -15,7 +15,6 @@
 //! heavy-tailed ON-OFF sources.
 
 pub mod effective;
-pub mod io;
 pub mod process;
 pub mod synthetic;
 
