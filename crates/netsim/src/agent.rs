@@ -158,9 +158,8 @@ impl Ctx<'_> {
     /// progress right after the current event, with the clock at this
     /// event's time; the call reports the halt in its return value.
     /// Events still queued, including ones at this same instant, run on
-    /// the next call. A halt outside `run_until` (during
-    /// `run_to_quiescence`, or from `on_start` while no run is in
-    /// progress) is ignored.
+    /// the next call. A halt raised from `on_start` or during
+    /// `run_to_quiescence` is ignored.
     ///
     /// Passive sinks ([`Agent::is_passive_sink`]) must never halt: their
     /// deliveries run inside fluid windows, where no event boundary

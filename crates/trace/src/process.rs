@@ -91,8 +91,7 @@ impl AvailBw {
         (self.horizon.1 - self.horizon.0) as f64 / 1e9
     }
 
-    /// The merged busy intervals as `(start_ns, end_ns)` pairs (used by
-    /// the text serialiser in [`crate::io`]).
+    /// The merged busy intervals as `(start_ns, end_ns)` pairs.
     pub fn intervals(&self) -> Vec<(u64, u64)> {
         self.starts
             .iter()
